@@ -5,15 +5,12 @@
 //! ```sh
 //! cargo run --release -p hintm-bench --bin perf_grid [-- --smoke]
 //! HINTM_PERF_REPEAT=9 cargo run --release -p hintm-bench --bin perf_grid
-//! HINTM_PERF_THREADS=4 cargo run --release -p hintm-bench --bin perf_grid
-//! HINTM_PERF_EXEC=compiled cargo run --release -p hintm-bench --bin perf_grid
 //! ```
 //!
 //! Prints the per-cell and overall median events/sec without writing or
 //! comparing `BENCH_*.json` snapshots; use `hintm perf` for the tracked,
 //! threshold-checked version.
 
-use hintm::ExecMode;
 use hintm_runner::perf::{full_grid, measure_cell, overall_median, smoke_grid};
 use std::process::ExitCode;
 
@@ -28,20 +25,9 @@ fn main() -> ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let repeat = env_usize("HINTM_PERF_REPEAT", 5);
     let warmup = env_usize("HINTM_PERF_WARMUP", 1);
-    let threads = env_usize("HINTM_PERF_THREADS", 1).max(1);
-    let exec = match std::env::var("HINTM_PERF_EXEC").ok().as_deref() {
-        None => ExecMode::Interp,
-        Some(s) => match ExecMode::parse(s) {
-            Some(e) => e,
-            None => {
-                eprintln!("error: bad HINTM_PERF_EXEC `{s}` (interp | compiled | both)");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
     let grid = if smoke { smoke_grid() } else { full_grid() };
     println!(
-        "perf grid: {} cells, warmup {warmup} + repeat {repeat}, sim-threads {threads}, exec {exec}",
+        "perf grid: {} cells, warmup {warmup} + repeat {repeat}",
         grid.len()
     );
     println!(
@@ -50,7 +36,7 @@ fn main() -> ExitCode {
     );
     let mut cells = Vec::with_capacity(grid.len());
     for c in &grid {
-        match measure_cell(c, warmup, repeat, threads, exec) {
+        match measure_cell(c, warmup, repeat) {
             Ok(m) => {
                 println!(
                     "{:<10} {:<7} {:>10} {:>12.1} {:>12.0}",

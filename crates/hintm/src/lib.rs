@@ -42,8 +42,8 @@ pub mod json;
 
 pub use hintm_htm::{HtmConfig, HtmKind};
 pub use hintm_sim::{
-    AccessProgram, ExecMode, HintMode, Recording, RunStats, Section, SectionCompiler, SimConfig,
-    Simulator, TraceEvent, TraceSink, TxBody, TxOp, Workload,
+    HintMode, Recording, RunStats, Section, SimConfig, Simulator, TraceEvent, TraceSink, TxBody,
+    TxOp, Workload,
 };
 pub use hintm_trace::{chrome_trace, chrome_trace_to, write_binlog, write_binlog_to, TraceSummary};
 pub use hintm_types::{AbortKind, AllocConfig, Cycles, MachineConfig, SmtMode};
@@ -79,12 +79,10 @@ pub struct Experiment {
     preserve: bool,
     scale: Scale,
     threads: Option<usize>,
-    sim_threads: usize,
     smt2: bool,
     seed: u64,
     record_tx_sizes: bool,
     profile_sharing: bool,
-    exec: ExecMode,
     alloc: AllocConfig,
     lrws_limits: Option<(usize, usize)>,
     max_stretches: Option<u32>,
@@ -101,12 +99,10 @@ impl Experiment {
             preserve: false,
             scale: Scale::Sim,
             threads: None,
-            sim_threads: 1,
             smt2: false,
             seed: 42,
             record_tx_sizes: false,
             profile_sharing: false,
-            exec: ExecMode::Interp,
             alloc: AllocConfig::default(),
             lrws_limits: None,
             max_stretches: None,
@@ -143,28 +139,9 @@ impl Experiment {
         self
     }
 
-    /// Shards section generation across `n` host threads (per-core lanes
-    /// with epoch-merged execution). Results are bit-identical for every
-    /// value; this only trades host parallelism for throughput. Clamped
-    /// to at least 1.
-    pub fn sim_threads(mut self, n: usize) -> Self {
-        self.sim_threads = n.max(1);
-        self
-    }
-
-    /// Selects the execution tier ([`ExecMode`]): the `POp` interpreter,
-    /// batch-compiled access programs, or the lockstep self-check. Like
-    /// [`Experiment::sim_threads`], results are bit-identical for every
-    /// value — the tier is a pure performance/verification knob.
-    pub fn exec(mut self, mode: ExecMode) -> Self {
-        self.exec = mode;
-        self
-    }
-
     /// Selects the heap-placement policy ([`AllocConfig`]) the workload's
     /// simulated allocator uses — the malloc-placement sensitivity axis.
-    /// Unlike `sim_threads`/`exec`, placement changes the address stream
-    /// and therefore the results.
+    /// Placement changes the address stream and therefore the results.
     pub fn alloc(mut self, cfg: AllocConfig) -> Self {
         self.alloc = cfg;
         self
@@ -218,8 +195,6 @@ impl Experiment {
         cfg.preserve = self.preserve;
         cfg.record_tx_sizes = self.record_tx_sizes;
         cfg.profile_sharing = self.profile_sharing;
-        cfg.sim_threads = self.sim_threads;
-        cfg.exec = self.exec;
         if let Some((read, write)) = self.lrws_limits {
             cfg.htm.lrws_read_limit = read;
             cfg.htm.lrws_write_limit = write;

@@ -7,8 +7,8 @@
 //! deduplicates cells that different axes happen to produce twice.
 
 use hintm::{
-    AllocConfig, ExecMode, Experiment, HintMode, HtmKind, Recording, RunReport, Scale,
-    UnknownWorkload, WORKLOAD_NAMES,
+    AllocConfig, Experiment, HintMode, HtmKind, Recording, RunReport, Scale, UnknownWorkload,
+    WORKLOAD_NAMES,
 };
 use std::collections::HashSet;
 
@@ -27,21 +27,13 @@ pub struct Cell {
     pub seed: u64,
     /// Thread-count override (`None` = the workload's paper default).
     pub threads: Option<usize>,
-    /// Host threads for section generation (per-core lanes). Results are
-    /// bit-identical for every value, so this knob is deliberately NOT
-    /// part of [`Cell::key`] — the cache is shared across thread counts.
-    pub sim_threads: usize,
-    /// Execution tier (interpreter / compiled access programs / lockstep
-    /// self-check). Bit-identical results for every value, so — like
-    /// `sim_threads` — deliberately NOT part of [`Cell::key`].
-    pub exec: ExecMode,
     /// 2-way SMT (16 hardware threads on 8 cores).
     pub smt2: bool,
     /// §VI-B preserve optimization.
     pub preserve: bool,
     /// Heap-placement color stride in bytes (0 = packed). Placement
-    /// changes simulated addresses and so abort counts — unlike
-    /// `sim_threads`/`exec`, this IS part of [`Cell::key`].
+    /// changes simulated addresses and so abort counts, so it is part of
+    /// [`Cell::key`].
     pub alloc_color: u64,
     /// Record per-committed-transaction footprints (Fig. 6 CDFs).
     pub record_tx_sizes: bool,
@@ -67,8 +59,6 @@ impl Cell {
             scale: Scale::Sim,
             seed: 42,
             threads: None,
-            sim_threads: 1,
-            exec: ExecMode::Interp,
             smt2: false,
             preserve: false,
             alloc_color: 0,
@@ -107,20 +97,6 @@ impl Cell {
         self
     }
 
-    /// Shards section generation across `n` host threads (clamped to 1).
-    /// Does not change results and does not enter [`Cell::key`].
-    pub fn sim_threads(mut self, n: usize) -> Self {
-        self.sim_threads = n.max(1);
-        self
-    }
-
-    /// Selects the execution tier. Does not change results and does not
-    /// enter [`Cell::key`].
-    pub fn exec(mut self, mode: ExecMode) -> Self {
-        self.exec = mode;
-        self
-    }
-
     /// Enables 2-way SMT.
     pub fn smt2(mut self, on: bool) -> Self {
         self.smt2 = on;
@@ -155,10 +131,7 @@ impl Cell {
     /// The canonical identity of this cell: every *result-affecting*
     /// configuration knob in a fixed order. Two cells are the same run iff
     /// their keys are equal — the cache addresses results by a hash of
-    /// this string. `sim_threads` and `exec` are intentionally absent: the
-    /// engine is bit-identical across thread counts and execution tiers,
-    /// so resubmitting a spec at a different `sim_threads` or `exec` must
-    /// hit the cache.
+    /// this string.
     pub fn key(&self) -> String {
         format!(
             "{}|{}|{}|{}|seed={}|threads={}|smt2={}|preserve={}|color={}|txsizes={}|sharing={}",
@@ -196,8 +169,6 @@ impl Cell {
             .preserve(self.preserve)
             .record_tx_sizes(self.record_tx_sizes)
             .profile_sharing(self.profile_sharing)
-            .sim_threads(self.sim_threads)
-            .exec(self.exec)
             .alloc(AllocConfig {
                 color_stride: self.alloc_color,
                 ..AllocConfig::default()
@@ -246,8 +217,6 @@ pub struct SweepSpec {
     seeds: Vec<u64>,
     alloc_colors: Vec<u64>,
     threads: Option<usize>,
-    sim_threads: usize,
-    exec: Option<ExecMode>,
     smt2: bool,
     preserve: bool,
     record_tx_sizes: bool,
@@ -334,22 +303,6 @@ impl SweepSpec {
         self
     }
 
-    /// Host generation threads applied to every enumerated cell
-    /// (including extras). Purely a throughput knob — see
-    /// [`Cell::sim_threads`].
-    pub fn sim_threads(mut self, n: usize) -> Self {
-        self.sim_threads = n.max(1);
-        self
-    }
-
-    /// Execution tier applied to every enumerated cell (including
-    /// extras). Purely a performance/self-checking knob — see
-    /// [`Cell::exec`].
-    pub fn exec(mut self, mode: ExecMode) -> Self {
-        self.exec = Some(mode);
-        self
-    }
-
     /// 2-way SMT on every enumerated cell.
     pub fn smt2(mut self, on: bool) -> Self {
         self.smt2 = on;
@@ -432,8 +385,6 @@ impl SweepSpec {
                                     .record_tx_sizes(self.record_tx_sizes)
                                     .profile_sharing(self.profile_sharing);
                                 c.threads = self.threads;
-                                c.sim_threads = self.sim_threads.max(1);
-                                c.exec = self.exec.unwrap_or_default();
                                 product.push(c);
                             }
                         }
@@ -443,18 +394,7 @@ impl SweepSpec {
         }
         let mut seen = HashSet::new();
         let mut out = Vec::new();
-        let extra = self.extra.iter().cloned().map(|mut c| {
-            // A spec-level sim_threads/exec override also covers extras;
-            // an unset spec leaves each extra's own value alone.
-            if self.sim_threads > 0 {
-                c.sim_threads = self.sim_threads;
-            }
-            if let Some(exec) = self.exec {
-                c.exec = exec;
-            }
-            c
-        });
-        for cell in product.into_iter().chain(extra) {
+        for cell in product.into_iter().chain(self.extra.iter().cloned()) {
             if seen.insert(cell.key()) {
                 out.push(cell);
             }
@@ -488,58 +428,6 @@ mod tests {
             assert_ne!(a.key(), v.key(), "key misses a knob: {v:?}");
         }
         assert_eq!(a.key(), a.clone().key());
-    }
-
-    #[test]
-    fn sim_threads_is_not_part_of_the_key() {
-        // The engine is bit-identical across sim_threads, so the cache
-        // must hit across values: the key deliberately excludes it.
-        let a = Cell::new("kmeans");
-        assert_eq!(a.key(), a.clone().sim_threads(4).key());
-        assert_eq!(Cell::new("kmeans").sim_threads(0).sim_threads, 1);
-    }
-
-    #[test]
-    fn exec_is_not_part_of_the_key() {
-        // Same rule as sim_threads: execution tiers are digest-locked to
-        // produce identical results, so the cache is shared across them.
-        let a = Cell::new("kmeans");
-        assert_eq!(a.key(), a.clone().exec(ExecMode::Compiled).key());
-        assert_eq!(a.key(), a.clone().exec(ExecMode::Both).key());
-    }
-
-    #[test]
-    fn spec_exec_covers_product_and_extras() {
-        let cells = SweepSpec::new()
-            .workload("kmeans")
-            .cell(Cell::new("ssca2"))
-            .exec(ExecMode::Compiled)
-            .cells();
-        assert!(cells.iter().all(|c| c.exec == ExecMode::Compiled));
-        // Unset spec leaves an extra's own value alone.
-        let cells = SweepSpec::new()
-            .workload("kmeans")
-            .cell(Cell::new("ssca2").exec(ExecMode::Both))
-            .cells();
-        assert_eq!(cells[0].exec, ExecMode::Interp);
-        assert_eq!(cells[1].exec, ExecMode::Both);
-    }
-
-    #[test]
-    fn spec_sim_threads_covers_product_and_extras() {
-        let spec = SweepSpec::new()
-            .workload("kmeans")
-            .cell(Cell::new("ssca2"))
-            .sim_threads(4);
-        let cells = spec.cells();
-        assert!(cells.iter().all(|c| c.sim_threads == 4));
-        // Unset spec leaves an extra's own value alone.
-        let cells = SweepSpec::new()
-            .workload("kmeans")
-            .cell(Cell::new("ssca2").sim_threads(2))
-            .cells();
-        assert_eq!(cells[0].sim_threads, 1);
-        assert_eq!(cells[1].sim_threads, 2);
     }
 
     #[test]

@@ -10,26 +10,20 @@
 //!   "seeds": [1, 2],
 //!   "scale": "sim",
 //!   "threads": 8,
-//!   "sim_threads": 1,
-//!   "exec": "interp",
 //!   "smt2": false,
 //!   "preserve": false
 //! }
 //! ```
 //!
-//! `sim_threads` is the engine's host-lane count (`--sim-threads` on the
-//! CLI): results are bit-identical for every value, so it is not part of
-//! the cell key and resubmitting a spec at a different lane count is a
-//! pure cache replay. `exec` (`interp` | `compiled` | `both`, the
-//! `--exec` flag) picks the execution tier under the same contract —
-//! bit-identical results, excluded from the cell key.
-//!
 //! Every field is optional with the same defaults as the CLI; unknown
 //! fields are rejected so typos fail loudly instead of silently sweeping
 //! the wrong grid. Cells on the claim/complete wire use the same JSON
 //! object shape as the sweep manifest ([`hintm_runner::cell_to_json`]).
+//! Older manifests and workers also send the lane-count and
+//! execution-tier keys of engine configurations that no longer exist;
+//! decoding a cell ignores them.
 
-use hintm::cli::{parse_exec, parse_hints, parse_htm, parse_scale, scale_str};
+use hintm::cli::{parse_hints, parse_htm, parse_scale, scale_str};
 use hintm::{HintMode, Json, RunReport, WORKLOAD_NAMES};
 use hintm_runner::{cell_to_json, Cell, CellOutcome, CellResult, SweepResult, SweepSpec};
 use std::time::Duration;
@@ -111,18 +105,6 @@ pub fn cells_from_spec_json(j: &Json) -> Result<Vec<Cell>, String> {
                     spec = spec.threads(t as usize);
                 }
             }
-            "sim_threads" => {
-                let t = value
-                    .as_u64()
-                    .ok()
-                    .filter(|&t| t >= 1)
-                    .ok_or("`sim_threads` must be an integer >= 1")?;
-                spec = spec.sim_threads(t as usize);
-            }
-            "exec" => {
-                let s = value.as_str().map_err(|_| "`exec` must be a string")?;
-                spec = spec.exec(parse_exec(s).map_err(|e| e.to_string())?);
-            }
             "smt2" => spec = spec.smt2(as_bool(value, "smt2")?),
             "preserve" => spec = spec.preserve(as_bool(value, "preserve")?),
             "alloc_colors" => {
@@ -185,15 +167,6 @@ pub fn cell_from_json(j: &Json) -> Result<Cell, String> {
         Json::Null => {}
         v => cell = cell.threads(v.as_u64().map_err(|e| e.to_string())? as usize),
     }
-    // Absent on pre-lane manifests: those cells ran serially.
-    if let Some(v) = j.get("sim_threads") {
-        cell = cell.sim_threads(v.as_u64().map_err(|e| e.to_string())? as usize);
-    }
-    // Absent on pre-compiler manifests: those cells interpreted.
-    if let Some(v) = j.get("exec") {
-        cell = cell
-            .exec(parse_exec(v.as_str().map_err(|e| e.to_string())?).map_err(|e| e.to_string())?);
-    }
     // Absent on pre-placement manifests: those cells used the packed
     // default layout.
     if let Some(v) = j.get("alloc_color") {
@@ -246,13 +219,9 @@ pub fn job_to_json(snap: &JobSnapshot) -> Json {
             Json::Obj(fields)
         })
         .collect();
-    // The spec applies one lane count to every cell, so the first cell
-    // speaks for the job (1 for the empty edge case).
-    let sim_threads = snap.cells.first().map_or(1, |c| c.sim_threads);
     Json::Obj(vec![
         ("id".into(), Json::u64(snap.id as u64)),
         ("total".into(), Json::u64(snap.cells.len() as u64)),
-        ("sim_threads".into(), Json::u64(sim_threads as u64)),
         ("finished".into(), Json::u64(snap.finished as u64)),
         ("cached".into(), Json::u64(snap.cached as u64)),
         ("crashed".into(), Json::u64(snap.crashed as u64)),
@@ -342,19 +311,14 @@ mod tests {
         let j = Json::parse(
             r#"{"workloads":["kmeans","ssca2"],"htm":["p8","infcap"],
                 "hints":["off","full"],"seeds":[1,2],"scale":"large",
-                "threads":4,"sim_threads":2,"exec":"compiled","smt2":true,"preserve":true}"#,
+                "threads":4,"smt2":true,"preserve":true}"#,
         )
         .unwrap();
         let cells = cells_from_spec_json(&j).unwrap();
         assert_eq!(cells.len(), 2 * 2 * 2 * 2);
-        assert!(cells.iter().all(|c| {
-            c.scale == Scale::Large
-                && c.threads == Some(4)
-                && c.sim_threads == 2
-                && c.exec == hintm::ExecMode::Compiled
-                && c.smt2
-                && c.preserve
-        }));
+        assert!(cells
+            .iter()
+            .all(|c| { c.scale == Scale::Large && c.threads == Some(4) && c.smt2 && c.preserve }));
         // Same grid the CLI would enumerate.
         let cli = SweepSpec::new()
             .workloads(["kmeans", "ssca2"])
@@ -363,8 +327,6 @@ mod tests {
             .seeds([1, 2])
             .scale(Scale::Large)
             .threads(4)
-            .sim_threads(2)
-            .exec(hintm::ExecMode::Compiled)
             .smt2(true)
             .preserve(true)
             .cells();
@@ -385,10 +347,7 @@ mod tests {
             r#"{"hints":"off"}"#,
             r#"{"seeds":["x"]}"#,
             r#"{"scale":"huge"}"#,
-            r#"{"sim_threads":0}"#,
-            r#"{"sim_threads":"two"}"#,
-            r#"{"exec":"jit"}"#,
-            r#"{"exec":1}"#,
+            r#"{"exec":"interp"}"#,
             r#"{"smt2":"yes"}"#,
             r#"{"frobnicate":1}"#,
             r#"[1,2]"#,
@@ -408,8 +367,6 @@ mod tests {
                 .scale(Scale::Large)
                 .seed(7)
                 .threads(16)
-                .sim_threads(4)
-                .exec(hintm::ExecMode::Both)
                 .smt2(true)
                 .preserve(true),
         ];
@@ -421,33 +378,27 @@ mod tests {
     }
 
     #[test]
-    fn pre_lane_cell_json_defaults_to_one_lane() {
-        // Manifests written before the lane engine carry no
-        // `sim_threads`; those cells ran serially.
-        let cell = Cell::new("kmeans").sim_threads(8);
-        let mut j = cell_to_json(&cell);
-        if let Json::Obj(fields) = &mut j {
-            fields.retain(|(k, _)| k != "sim_threads");
-        }
-        let back = cell_from_json(&j).unwrap();
-        assert_eq!(back.sim_threads, 1);
-        // Lane count is not part of the key, so the claim still dedups.
+    fn cell_json_with_removed_engine_keys_still_decodes() {
+        // A cell as manifests and claim wires carried it while the engine
+        // still had generation lanes and a compiled tier: it decodes to
+        // the same cell, with the same key, and re-encodes without the
+        // two removed keys.
+        let old = Json::parse(
+            r#"{"workload":"kmeans","htm":"P8","hints":"baseline","scale":"sim",
+                "seed":42,"threads":4,"sim_threads":8,"exec":"compiled",
+                "smt2":false,"preserve":false,"alloc_color":0,
+                "record_tx_sizes":false,"profile_sharing":false}"#,
+        )
+        .unwrap();
+        let cell = Cell::new("kmeans").threads(4);
+        let back = cell_from_json(&old).unwrap();
+        assert_eq!(back, cell);
         assert_eq!(back.key(), cell.key());
-    }
-
-    #[test]
-    fn pre_compiler_cell_json_defaults_to_interp() {
-        // Manifests written before the compilation tier carry no `exec`;
-        // those cells interpreted.
-        let cell = Cell::new("kmeans").exec(hintm::ExecMode::Compiled);
-        let mut j = cell_to_json(&cell);
-        if let Json::Obj(fields) = &mut j {
-            fields.retain(|(k, _)| k != "exec");
-        }
-        let back = cell_from_json(&j).unwrap();
-        assert_eq!(back.exec, hintm::ExecMode::Interp);
-        // The tier is not part of the key, so the claim still dedups.
-        assert_eq!(back.key(), cell.key());
+        let (Json::Obj(old_fields), Json::Obj(new_fields)) = (&old, &cell_to_json(&back)) else {
+            panic!("cells encode as objects");
+        };
+        assert_eq!(new_fields.len(), old_fields.len() - 2);
+        assert!(new_fields.iter().all(|f| old_fields.contains(f)));
     }
 
     #[test]

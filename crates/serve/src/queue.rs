@@ -102,10 +102,6 @@ pub struct QueueStats {
     pub cached: u64,
     /// Cells that crashed.
     pub crashed: u64,
-    /// The largest engine lane count (`sim_threads`) across every
-    /// submitted cell — 1 when nothing has been submitted. Lane counts
-    /// never change results, so this is operational info only.
-    pub sim_threads_max: usize,
 }
 
 struct Job {
@@ -340,13 +336,6 @@ impl JobQueue {
             executed: s.executed,
             cached: s.cached,
             crashed: s.crashed,
-            sim_threads_max: s
-                .jobs
-                .iter()
-                .flat_map(|j| j.cells.iter())
-                .map(|c| c.sim_threads)
-                .max()
-                .unwrap_or(1),
         }
     }
 

@@ -165,59 +165,6 @@ fn resubmitted_sweep_completes_entirely_from_cache() {
 }
 
 #[test]
-fn resubmission_at_a_different_lane_count_is_a_cache_replay() {
-    // `sim_threads` only shards the engine across host lanes — results
-    // are bit-identical, the cell key excludes it, and so a warm spec
-    // resubmitted at a different lane count must execute zero cells.
-    let server = start_server("lanes", 2);
-    let addr = server.addr().to_string();
-
-    let spec_serial = r#"{"workloads":["ssca2","kmeans"],"sim_threads":1}"#;
-    let spec_lanes = r#"{"workloads":["ssca2","kmeans"],"sim_threads":4}"#;
-
-    let first = submit(&addr, spec_serial);
-    await_job(&addr, first);
-    let executed_after_first = queue_counter(&addr, "executed");
-    assert_eq!(executed_after_first, 2);
-
-    let second = submit(&addr, spec_lanes);
-    await_job(&addr, second);
-    assert_eq!(
-        queue_counter(&addr, "executed"),
-        executed_after_first,
-        "a lane-count change re-executed cells"
-    );
-
-    // Both jobs surface their lane count, and /stats tracks the max.
-    let (_, a) = get_json(&addr, &format!("/sweeps/{first}"));
-    assert_eq!(a.field("sim_threads").unwrap().as_u64().unwrap(), 1);
-    let (_, b) = get_json(&addr, &format!("/sweeps/{second}"));
-    assert_eq!(b.field("sim_threads").unwrap().as_u64().unwrap(), 4);
-    assert_eq!(b.field("cached").unwrap().as_u64().unwrap(), 2);
-    assert_eq!(queue_counter(&addr, "sim_threads_max"), 4);
-
-    // Identical reports: the lane count never changes results.
-    let (_, report_a) = client_request(
-        &addr,
-        "GET",
-        &format!("/sweeps/{first}/report?format=csv"),
-        b"",
-    )
-    .unwrap();
-    let (_, report_b) = client_request(
-        &addr,
-        "GET",
-        &format!("/sweeps/{second}/report?format=csv"),
-        b"",
-    )
-    .unwrap();
-    assert_eq!(report_a, report_b);
-
-    server.stop();
-    server.join();
-}
-
-#[test]
 fn trace_endpoint_streams_chrome_json_and_binlog() {
     let server = start_server("trace", 1);
     let addr = server.addr().to_string();
@@ -350,6 +297,13 @@ fn error_paths_over_the_wire() {
     for (method, path, body, want) in [
         ("POST", "/sweeps", r#"{"workloads":["nope"]}"#, 400),
         ("POST", "/sweeps", "not json", 400),
+        // The execution-tier field is gone: unknown, like any typo.
+        (
+            "POST",
+            "/sweeps",
+            r#"{"workloads":["ssca2"],"exec":"interp"}"#,
+            400,
+        ),
         ("GET", "/sweeps/7", "", 404),
         ("GET", "/sweeps/7/report", "", 404),
         ("GET", "/nope", "", 404),

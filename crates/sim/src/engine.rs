@@ -2,115 +2,46 @@
 //! transaction lifecycle, eager conflict detection, fallback locking, and
 //! page-mode abort orchestration.
 //!
-//! # Lane/epoch-merge architecture
+//! # Structure
 //!
-//! The engine is split into two roles:
-//!
-//! * **Lane workers** (host threads) own fixed subsets of the simulated
-//!   hardware threads (thread `i` belongs to lane `i % lanes`). A lane
-//!   pulls sections from the workload (serialized behind a lock) and
-//!   *resolves* them into flat `Program`s — per-op block/page split and
-//!   static-safety verdicts — entirely off the merge loop's critical path.
-//!   Resolved programs flow to the merge loop through bounded per-thread
-//!   channels (the *epoch window*), so a lane can run at most
-//!   `EPOCH_WINDOW` sections ahead of execution.
-//! * **The merge loop** (the calling thread) is the authoritative serial
-//!   scheduler: it alone touches the shared simulated state — the cache
-//!   hierarchy, the VM/page table, the HTM trackers, the fallback lock —
-//!   and executes every operation in canonical min-(clock, core-index)
-//!   order. Cross-core interactions (conflict probes, coherence,
-//!   commit/abort ordering) therefore resolve identically at any lane
-//!   count, and [`TraceSink`] emission happens only here, in merge order.
-//!
-//! Because all shared-state mutation is confined to the merge loop, runs
-//! are bit-identical for every `sim_threads` value by construction; the
-//! lanes only parallelize generation + resolution, which the opt-in
-//! [`Workload::generation_is_thread_local`] contract guarantees is
-//! order-independent across threads.
+//! One serial loop on the calling thread generates each thread's next
+//! section when it is needed, *resolves* it into a flat `Program` (per-op
+//! block/page split and static-safety verdicts, see the `resolve` module),
+//! and executes every operation in canonical min-(clock, core-index)
+//! order. Cross-core interactions (conflict probes, coherence,
+//! commit/abort ordering) and [`TraceSink`] emission therefore happen in
+//! one deterministic order.
 //!
 //! # Hot-path structure
 //!
-//! The merge loop is monomorphized over the sink (`NoSink` for untraced
-//! runs compiles every event construction away), executes pre-resolved
+//! The loop is monomorphized over the sink (`NoSink` for untraced runs
+//! compiles every event construction away), executes pre-resolved
 //! programs (no per-access hint-set searches; programs are reused verbatim
 //! across retries), and keeps a *same-thread fast path*: after a step that
 //! touched no other thread's clock/state and no lock state, the scheduler
 //! re-picks the same thread without rescanning as long as its new ready
 //! time still beats the second-best candidate from the last full scan
 //! (ties broken toward the lower index, exactly like the scan itself).
-//!
-//! Sections replay through one of two tiers (see [`crate::compile`]): the
-//! `POp` interpreter, or batch-compiled SoA [`crate::AccessProgram`]s
-//! whose packed opwords carry pre-resolved escape-window membership. Both
-//! tiers execute one slot per scheduling step through the same shared
-//! access pipeline, so statistics and trace digests are bit-identical;
-//! [`crate::ExecMode::Both`] executes compiled slots while asserting the
-//! interpreter decode agrees at every op.
 
-use crate::compile::{
-    Compiler, OpKind, POp, Program, Resolved, Resolver, F_ESCAPED, F_HINT_SAFE, F_RAW_STATIC,
-    F_STATIC_SAFE, F_STORE, K_ACCESS, K_COMPUTE, K_MASK, K_RESUME, K_SUSPEND,
-};
-use crate::config::{ExecMode, SimConfig};
-use crate::section::Workload;
+use crate::config::SimConfig;
+use crate::resolve::{OpKind, POp, Program, Resolver, F_RAW_STATIC, F_STATIC_SAFE};
+use crate::section::{Section, Workload};
 use crate::stats::RunStats;
 use hintm_cache::{AccessOutcome, Hierarchy};
 use hintm_htm::{HtmKind, HtmThread};
 use hintm_trace::{TraceEvent, TraceSink};
 use hintm_types::{
-    AbortKind, AccessKind, Addr, BlockAddr, ConflictPolicy, CoreId, Cycles, MemAccess, PageId,
-    SafetyHint, SiteId, ThreadId,
+    AbortKind, AccessKind, BlockAddr, ConflictPolicy, CoreId, Cycles, MemAccess, PageId, ThreadId,
 };
 use hintm_vm::{SharingProfiler, VmSystem};
 use std::collections::HashSet;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::Mutex;
-
-/// Bounded per-thread lane depth: how many resolved sections a lane may
-/// buffer ahead of the merge loop.
-const EPOCH_WINDOW: usize = 64;
-
-/// Where the merge loop gets resolved sections from.
-enum Feed<'w, 'r> {
-    /// Serial path: generate + resolve inline at the `Idle` step.
-    Direct {
-        workload: &'w mut dyn Workload,
-        resolver: &'r Resolver,
-        compiler: Compiler,
-        exec: ExecMode,
-    },
-    /// Lane path: per-thread receivers fed by lane workers.
-    Lanes(Vec<Receiver<Resolved>>),
-}
-
-impl Feed<'_, '_> {
-    /// Fetch the next resolved section for `tid`. `recycle` donates a
-    /// retired program's storage to the serial path (lane programs are
-    /// built on the worker side, so it is dropped there).
-    fn next(&mut self, tid: usize, recycle: Option<Program>) -> Resolved {
-        match self {
-            Feed::Direct {
-                workload,
-                resolver,
-                compiler,
-                exec,
-            } => match workload.next_section(ThreadId(tid as u32)) {
-                None => Resolved::Done,
-                Some(s) => resolver.resolve_into(s, recycle.unwrap_or_default(), *exec, compiler),
-            },
-            Feed::Lanes(rxs) => rxs[tid]
-                .recv()
-                .expect("generation lane disconnected (worker panicked)"),
-        }
-    }
-}
 
 /// What a hardware thread is doing. The section payload lives in
 /// [`ThreadCtx::prog`]; keeping the discriminant `Copy` makes the
 /// scheduler scan touch no refcounts.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Mode {
-    /// Needs a new section from the feed.
+    /// Needs a new section from the workload.
     Idle,
     /// Executing a hardware transaction.
     InTx,
@@ -247,9 +178,7 @@ impl Simulator {
     /// order.
     ///
     /// The sink never affects the simulation: the returned statistics are
-    /// bit-identical to an unsinked run with the same seed, and the event
-    /// stream is bit-identical at every `sim_threads` value (emission
-    /// happens only in the merge loop, in merge order). Sinks that return
+    /// bit-identical to an unsinked run with the same seed. Sinks that return
     /// `false` from [`TraceSink::wants_accesses`] skip the per-access
     /// events (the bulk of the stream) entirely.
     pub fn run_with_sink(
@@ -277,154 +206,40 @@ impl Simulator {
             self.cfg.machine.num_cores * smt
         );
         assert!(n <= 64, "active-transaction bitmask covers 64 threads");
-        let lanes = if self.cfg.sim_threads > 1 && workload.generation_is_thread_local() {
-            self.cfg.sim_threads.min(n)
-        } else {
-            1
-        };
         match sink {
             Some(s) => {
                 let want_access = s.wants_accesses();
                 self.drive(
                     workload,
-                    &resolver,
-                    n,
-                    smt,
-                    lanes,
+                    resolver,
                     DynSink {
                         sink: s,
                         want_access,
                     },
                 )
             }
-            None => self.drive(workload, &resolver, n, smt, lanes, NoSink),
+            None => self.drive(workload, resolver, NoSink),
         }
     }
 
     fn drive<S: SinkPort>(
         &self,
         workload: &mut dyn Workload,
-        resolver: &Resolver,
-        n: usize,
-        smt: usize,
-        lanes: usize,
+        resolver: Resolver,
         sink: S,
     ) -> RunStats {
-        let mut engine = Engine::new(&self.cfg, n, smt, sink);
-        let exec = self.cfg.exec;
-        if lanes <= 1 {
-            let mut feed = Feed::Direct {
-                workload,
-                resolver,
-                compiler: Compiler::new(resolver),
-                exec,
-            };
-            engine.run(&mut feed);
-            return engine.into_stats();
-        }
-        // Lane path: one bounded channel per simulated thread, lane worker
-        // `k` generating for threads `i ≡ k (mod lanes)`.
-        let mut txs: Vec<Option<SyncSender<Resolved>>> = Vec::with_capacity(n);
-        let mut rxs: Vec<Receiver<Resolved>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = sync_channel(EPOCH_WINDOW);
-            txs.push(Some(tx));
-            rxs.push(rx);
-        }
-        let gen = Mutex::new(workload);
-        std::thread::scope(|scope| {
-            for k in 0..lanes {
-                let mine: Vec<(usize, SyncSender<Resolved>)> = (k..n)
-                    .step_by(lanes)
-                    .map(|i| (i, txs[i].take().expect("sender claimed once")))
-                    .collect();
-                let gen = &gen;
-                scope.spawn(move || lane_worker(gen, resolver, mine, exec));
-            }
-            // If the merge loop panics (max_steps, deadlock assert), the
-            // receivers drop during unwinding, the workers' try_send fails
-            // with Disconnected and they exit — the scope join cannot hang.
-            let mut feed = Feed::Lanes(rxs);
-            engine.run(&mut feed);
-            engine.into_stats()
-        })
+        let mut engine = Engine::new(&self.cfg, workload, resolver, sink);
+        engine.run();
+        engine.into_stats()
     }
 }
 
-/// One generation lane: round-robins its threads, pulling sections behind
-/// the lock, resolving them outside it, and delivering through bounded
-/// channels without ever blocking on a single full channel (a parked
-/// thread's full window must not starve the lane's other threads).
-fn lane_worker(
-    gen: &Mutex<&mut dyn Workload>,
-    resolver: &Resolver,
-    mine: Vec<(usize, SyncSender<Resolved>)>,
-    exec: ExecMode,
-) {
-    // Each lane owns a private compiled-program cache: compilation is a
-    // pure function of (section, resolver), so per-lane caches stay
-    // deterministic at any lane count.
-    let mut compiler = Compiler::new(resolver);
-    struct Slot {
-        tid: usize,
-        tx: SyncSender<Resolved>,
-        pending: Option<Resolved>,
-        finished: bool,
-    }
-    let mut slots: Vec<Slot> = mine
-        .into_iter()
-        .map(|(tid, tx)| Slot {
-            tid,
-            tx,
-            pending: None,
-            finished: false,
-        })
-        .collect();
-    loop {
-        let mut progress = false;
-        let mut open = 0usize;
-        for slot in slots.iter_mut() {
-            if slot.finished {
-                continue;
-            }
-            open += 1;
-            if slot.pending.is_none() {
-                let section = {
-                    let mut w = gen.lock().expect("generation lock poisoned");
-                    w.next_section(ThreadId(slot.tid as u32))
-                };
-                slot.pending = Some(match section {
-                    None => Resolved::Done,
-                    Some(s) => resolver.resolve(s, exec, &mut compiler),
-                });
-            }
-            let item = slot.pending.take().expect("pending set above");
-            let is_done = matches!(item, Resolved::Done);
-            match slot.tx.try_send(item) {
-                Ok(()) => {
-                    progress = true;
-                    if is_done {
-                        slot.finished = true;
-                    }
-                }
-                Err(TrySendError::Full(item)) => slot.pending = Some(item),
-                Err(TrySendError::Disconnected(_)) => slot.finished = true,
-            }
-        }
-        if open == 0 {
-            break;
-        }
-        if !progress {
-            // Every window is full (the merge loop is behind) — yield
-            // rather than spin so single-core hosts are not starved.
-            std::thread::yield_now();
-        }
-    }
-}
-
-/// The merge loop and all shared simulated state.
+/// The scheduling loop and all simulated state.
 struct Engine<'e, S: SinkPort> {
     cfg: &'e SimConfig,
+    /// Generates each thread's next section when it goes idle.
+    workload: &'e mut dyn Workload,
+    resolver: Resolver,
     threads: Vec<ThreadCtx>,
     mem: Hierarchy,
     vm: VmSystem,
@@ -440,7 +255,7 @@ struct Engine<'e, S: SinkPort> {
     /// instead of probing every controller.
     active: u64,
     sink: S,
-    /// Retired `Program`s whose op buffers the serial feed reuses, so
+    /// Retired `Program`s whose op buffers resolution reuses, so
     /// steady-state section resolution allocates nothing. Capped at the
     /// thread count (the most programs ever live at once).
     pool: Vec<Program>,
@@ -457,7 +272,14 @@ struct Engine<'e, S: SinkPort> {
 }
 
 impl<'e, S: SinkPort> Engine<'e, S> {
-    fn new(cfg: &'e SimConfig, n: usize, smt: usize, sink: S) -> Self {
+    fn new(
+        cfg: &'e SimConfig,
+        workload: &'e mut dyn Workload,
+        resolver: Resolver,
+        sink: S,
+    ) -> Self {
+        let n = workload.num_threads();
+        let smt = cfg.machine.smt.ways();
         Engine {
             threads: (0..n)
                 .map(|i| ThreadCtx {
@@ -492,10 +314,12 @@ impl<'e, S: SinkPort> Engine<'e, S> {
             epoch: 0,
             local_only: true,
             cfg,
+            workload,
+            resolver,
         }
     }
 
-    fn run(&mut self, feed: &mut Feed<'_, '_>) {
+    fn run(&mut self) {
         'scan: loop {
             self.steps += 1;
             assert!(
@@ -582,7 +406,7 @@ impl<'e, S: SinkPort> Engine<'e, S> {
 
             self.threads[i].clock = ready;
             self.local_only = true;
-            self.step(i, feed);
+            self.step(i);
 
             // Same-thread fast path: keep stepping `i` without a rescan as
             // long as (a) the step changed nothing outside thread `i` and
@@ -614,7 +438,7 @@ impl<'e, S: SinkPort> Engine<'e, S> {
                     "engine exceeded max_steps"
                 );
                 self.local_only = true;
-                self.step(i, feed);
+                self.step(i);
             }
         }
     }
@@ -656,7 +480,7 @@ impl<'e, S: SinkPort> Engine<'e, S> {
     }
 
     /// Executes one scheduling step for thread `i`.
-    fn step(&mut self, i: usize, feed: &mut Feed<'_, '_>) {
+    fn step(&mut self, i: usize) {
         match self.threads[i].mode {
             Mode::Done | Mode::AtBarrier => unreachable!("parked threads never step"),
             Mode::Idle => {
@@ -666,19 +490,25 @@ impl<'e, S: SinkPort> Engine<'e, S> {
                         at: self.threads[i].clock,
                     });
                 }
-                match feed.next(i, self.pool.pop()) {
-                    Resolved::Done => self.threads[i].mode = Mode::Done,
-                    Resolved::Barrier => self.threads[i].mode = Mode::AtBarrier,
-                    Resolved::Program(p) => {
-                        let tx = p.tx;
-                        self.threads[i].prog = Some(p);
-                        if tx {
-                            self.try_begin_tx(i);
-                        } else {
-                            self.threads[i].mode = Mode::NonTx;
-                            self.threads[i].pos = 0;
-                        }
+                let (tx, ops) = match self.workload.next_section(ThreadId(i as u32)) {
+                    None => {
+                        self.threads[i].mode = Mode::Done;
+                        return;
                     }
+                    Some(Section::Barrier) => {
+                        self.threads[i].mode = Mode::AtBarrier;
+                        return;
+                    }
+                    Some(Section::NonTx(ops)) => (false, ops),
+                    Some(Section::Tx(body)) => (true, body.ops),
+                };
+                let buf = self.pool.pop().unwrap_or_default();
+                self.threads[i].prog = Some(self.resolver.resolve_into(tx, &ops, buf));
+                if tx {
+                    self.try_begin_tx(i);
+                } else {
+                    self.threads[i].mode = Mode::NonTx;
+                    self.threads[i].pos = 0;
                 }
             }
             Mode::WaitRetry => self.try_begin_tx(i),
@@ -714,7 +544,7 @@ impl<'e, S: SinkPort> Engine<'e, S> {
             Mode::NonTx => {
                 let pos = self.threads[i].pos;
                 let prog = self.threads[i].prog.as_ref().expect("NonTx has a program");
-                if pos >= prog.len() {
+                if pos >= prog.ops.len() {
                     self.threads[i].mode = Mode::Idle;
                     self.retire(i);
                     return;
@@ -728,7 +558,7 @@ impl<'e, S: SinkPort> Engine<'e, S> {
                     .prog
                     .as_ref()
                     .expect("InFallback has a program");
-                if pos >= prog.len() {
+                if pos >= prog.ops.len() {
                     self.threads[i].htm.commit_fallback();
                     if S::ENABLED {
                         self.sink.emit(TraceEvent::FallbackCommit {
@@ -750,7 +580,7 @@ impl<'e, S: SinkPort> Engine<'e, S> {
             Mode::InTx => {
                 let pos = self.threads[i].pos;
                 let prog = self.threads[i].prog.as_ref().expect("InTx has a program");
-                if pos >= prog.len() {
+                if pos >= prog.ops.len() {
                     // Commit. Footprint/set sizes/retries must be captured
                     // before `commit()` clears the tracker.
                     self.threads[i].clock += self.cfg.tx_commit_cost;
@@ -889,39 +719,15 @@ impl<'e, S: SinkPort> Engine<'e, S> {
         }
     }
 
-    /// Executes the slot at `pos` of thread `i`'s program through the
-    /// configured execution tier. `in_tx` marks speculative execution
-    /// (fallback and non-TX sections pass `false`).
+    /// Executes the op at `pos` of thread `i`'s program. `in_tx` marks
+    /// speculative execution (fallback and non-TX sections pass `false`).
     #[inline]
     fn exec_at(&mut self, i: usize, pos: usize, in_tx: bool) -> StepOutcome {
-        match self.cfg.exec {
-            ExecMode::Interp => {
-                let op = self.threads[i].prog.as_ref().expect("program").ops[pos];
-                self.exec_op(i, op, in_tx)
-            }
-            ExecMode::Compiled => {
-                let (w, payload, site) = self.threads[i]
-                    .prog
-                    .as_ref()
-                    .expect("program")
-                    .code
-                    .as_deref()
-                    .expect("compiled program")
-                    .packed(pos);
-                self.exec_packed(i, w, payload, site, in_tx)
-            }
-            ExecMode::Both => {
-                let prog = self.threads[i].prog.as_ref().expect("program");
-                let op = prog.ops[pos];
-                let (w, cost, block, page, access) =
-                    prog.code.as_deref().expect("compiled program").slot(pos);
-                self.check_lockstep(i, pos, op, w, cost, block, page, access);
-                self.exec_slot(i, w, cost, block, page, access, in_tx)
-            }
-        }
+        let op = self.threads[i].prog.as_ref().expect("program").ops[pos];
+        self.exec_op(i, op, in_tx)
     }
 
-    /// Interpreter tier: execute one pre-resolved `POp`.
+    /// Executes one pre-resolved `POp`.
     fn exec_op(&mut self, i: usize, op: POp, in_tx: bool) -> StepOutcome {
         match op.op {
             OpKind::Compute => {
@@ -955,142 +761,7 @@ impl<'e, S: SinkPort> Engine<'e, S> {
         }
     }
 
-    /// Compiled tier: execute one packed `AccessProgram` slot straight
-    /// from its (opword, payload, site) form. Suspend/resume are
-    /// step-consuming no-ops (escape membership is pre-resolved into each
-    /// access slot's `F_ESCAPED` bit), the opword replaces both the kind
-    /// dispatch and the runtime `suspended` test, and the access record
-    /// plus its block/page split are rebuilt with register arithmetic only
-    /// on the access path.
-    #[inline]
-    fn exec_packed(
-        &mut self,
-        i: usize,
-        w: u8,
-        payload: u64,
-        site: SiteId,
-        in_tx: bool,
-    ) -> StepOutcome {
-        match w & K_MASK {
-            K_COMPUTE => {
-                self.threads[i].clock += Cycles(payload);
-                StepOutcome::Continue
-            }
-            K_SUSPEND | K_RESUME => StepOutcome::Continue,
-            _ => {
-                let addr = Addr::new(payload);
-                let access = MemAccess {
-                    addr,
-                    kind: if w & F_STORE != 0 {
-                        AccessKind::Store
-                    } else {
-                        AccessKind::Load
-                    },
-                    site,
-                    hint: if w & F_HINT_SAFE != 0 {
-                        SafetyHint::Safe
-                    } else {
-                        SafetyHint::Unsafe
-                    },
-                };
-                let in_tx = in_tx && w & F_ESCAPED == 0;
-                self.exec_access(
-                    i,
-                    access,
-                    addr.block(),
-                    addr.page(),
-                    w & F_STATIC_SAFE != 0,
-                    w & F_RAW_STATIC != 0,
-                    in_tx,
-                )
-            }
-        }
-    }
-
-    /// Compiled tier, widened form (`both` mode): execute one
-    /// already-reconstructed `AccessProgram` slot.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn exec_slot(
-        &mut self,
-        i: usize,
-        w: u8,
-        cost: u64,
-        block: BlockAddr,
-        page: PageId,
-        access: MemAccess,
-        in_tx: bool,
-    ) -> StepOutcome {
-        match w & K_MASK {
-            K_COMPUTE => {
-                self.threads[i].clock += Cycles(cost);
-                StepOutcome::Continue
-            }
-            K_SUSPEND | K_RESUME => StepOutcome::Continue,
-            _ => {
-                let in_tx = in_tx && w & F_ESCAPED == 0;
-                self.exec_access(
-                    i,
-                    access,
-                    block,
-                    page,
-                    w & F_STATIC_SAFE != 0,
-                    w & F_RAW_STATIC != 0,
-                    in_tx,
-                )
-            }
-        }
-    }
-
-    /// `both` mode: assert the interpreter decode of slot `pos` agrees
-    /// with the compiled slot, then keep the interpreter-visible escape
-    /// state in sync so `F_ESCAPED` can be checked against it.
-    #[allow(clippy::too_many_arguments)]
-    fn check_lockstep(
-        &mut self,
-        i: usize,
-        pos: usize,
-        op: POp,
-        w: u8,
-        cost: u64,
-        block: BlockAddr,
-        page: PageId,
-        access: MemAccess,
-    ) {
-        let kind_ok = matches!(
-            (op.op, w & K_MASK),
-            (OpKind::Access, K_ACCESS)
-                | (OpKind::Compute, K_COMPUTE)
-                | (OpKind::Suspend, K_SUSPEND)
-                | (OpKind::Resume, K_RESUME)
-        );
-        let mut ok = kind_ok;
-        match op.op {
-            OpKind::Compute => ok &= cost == op.cost,
-            OpKind::Access => {
-                ok &=
-                    w & (F_STATIC_SAFE | F_RAW_STATIC) == op.flags & (F_STATIC_SAFE | F_RAW_STATIC);
-                ok &= (w & F_STORE != 0) == (op.access.kind == AccessKind::Store);
-                ok &= (w & F_ESCAPED != 0) == self.threads[i].suspended;
-                ok &= block == op.block && page == op.page && access == op.access;
-            }
-            OpKind::Suspend | OpKind::Resume => {}
-        }
-        assert!(
-            ok,
-            "exec-tier divergence at thread {i} slot {pos}: interpreter decoded \
-             {op:?} (suspended={}), compiled slot word={w:#010b} cost={cost} \
-             block={block:?} page={page:?} access={access:?}",
-            self.threads[i].suspended
-        );
-        match op.op {
-            OpKind::Suspend => self.threads[i].suspended = true,
-            OpKind::Resume => self.threads[i].suspended = false,
-            _ => {}
-        }
-    }
-
-    /// The shared six-stage access pipeline both tiers feed: VM +
+    /// The six-stage access pipeline: VM +
     /// shootdowns, safety verdicts, cache probe, eager conflict detection,
     /// L1-eviction capacity aborts, profiling + transactional tracking.
     /// `in_tx` already accounts for escape windows.

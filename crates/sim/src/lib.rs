@@ -42,14 +42,13 @@
 //! assert_eq!(report.total_aborts(), 0);
 //! ```
 
-pub mod compile;
 pub mod config;
 pub mod engine;
+mod resolve;
 pub mod section;
 pub mod stats;
 
-pub use compile::{AccessProgram, SectionCompiler};
-pub use config::{ExecMode, HintMode, SimConfig};
+pub use config::{HintMode, SimConfig};
 pub use engine::Simulator;
 pub use hintm_trace::{Recording, TraceEvent, TraceSink};
 pub use section::{

@@ -92,10 +92,7 @@ pub enum Section {
 /// the thread executes them; internal state may advance at generation time
 /// because a returned `Tx` body is replayed verbatim on aborts. Workloads
 /// must be deterministic given the `reset` seed.
-///
-/// Workloads are `Send` so the engine's lane workers can pull sections from
-/// them on other host threads (calls are always serialized behind a lock).
-pub trait Workload: Send {
+pub trait Workload {
     /// Short stable name (used in reports).
     fn name(&self) -> &'static str;
 
@@ -126,20 +123,6 @@ pub trait Workload: Send {
     /// are enabled. Default: none.
     fn notary_safe_ranges(&self) -> Vec<(Addr, u64)> {
         Vec::new()
-    }
-
-    /// Opt-in for the engine's parallel lane generation: return `true` iff
-    /// `next_section(tid)` consults only state that thread `tid`'s own
-    /// generation sequence mutates. When true, the engine may generate the
-    /// per-thread section streams out of order relative to each other and
-    /// arbitrarily far ahead of execution (including past barriers); the
-    /// per-thread sequences themselves are still produced strictly in
-    /// order. Workloads whose generation observes cross-thread state (work
-    /// queues, shared occupancy, commit results) must keep the default
-    /// `false`, which pins them to the serial generation path regardless of
-    /// the configured lane count.
-    fn generation_is_thread_local(&self) -> bool {
-        false
     }
 }
 
@@ -218,12 +201,6 @@ impl Workload for EscapeEncoded {
 
     fn notary_safe_ranges(&self) -> Vec<(Addr, u64)> {
         self.inner.notary_safe_ranges()
-    }
-
-    fn generation_is_thread_local(&self) -> bool {
-        // The rewrite itself is stateless (`sites` is fixed at wrap time),
-        // so thread-locality is inherited from the inner workload.
-        self.inner.generation_is_thread_local()
     }
 }
 
@@ -346,12 +323,6 @@ impl Workload for DigestingWorkload {
 
     fn notary_safe_ranges(&self) -> Vec<(Addr, u64)> {
         self.inner.notary_safe_ranges()
-    }
-
-    fn generation_is_thread_local(&self) -> bool {
-        // The digests are kept per thread and folded in thread order by
-        // `state_digest`, so they commute across lane interleavings.
-        self.inner.generation_is_thread_local()
     }
 }
 

@@ -6,9 +6,10 @@
 //! into per-thread section streams (transactions between `TxBegin`/`TxEnd`,
 //! non-transactional stretches elsewhere, a barrier between rounds). That
 //! makes every randomly generated analysis module a complete simulator
-//! workload, which is what the compiled-vs-interpreted differential fuzzer
-//! needs: fresh access programs with loops, branches, calls, memcpys and
-//! escape-eligible safe sites, far outside the shapes the suite exercises.
+//! workload, which is what the random-module soundness test needs: fresh
+//! transactions with loops, branches, calls and memcpys, far outside the
+//! shapes the suite exercises, whose traced footprints can be checked
+//! against the static analysis of the very module that produced them.
 //!
 //! Execution is abstract but deterministic:
 //!
@@ -444,7 +445,7 @@ impl Workload for IrExec {
         }
 
         // Generate every thread's stream up front, in thread order; the
-        // engine then just pops sections (generation is thread-local).
+        // engine then just pops sections.
         self.queues = (0..self.threads).map(|_| VecDeque::new()).collect();
         for r in 0..self.rounds {
             for t in 0..self.threads {
@@ -485,19 +486,13 @@ impl Workload for IrExec {
     fn static_safe_sites(&self) -> HashSet<SiteId> {
         self.safe.clone()
     }
-
-    fn generation_is_thread_local(&self) -> bool {
-        // Streams are fully precomputed at reset; `next_section` only pops
-        // from the per-thread queue.
-        true
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hintm_ir::ModuleBuilder;
-    use hintm_sim::{ExecMode, SimConfig, Simulator};
+    use hintm_sim::{SimConfig, Simulator};
 
     /// A module exercising every construct the executor handles: globals,
     /// sized/unsized allocs, gep, pointer load/store, memcpy, a call, a
@@ -611,16 +606,14 @@ mod tests {
     }
 
     #[test]
-    fn runs_identically_under_all_exec_tiers() {
-        let mut reports = Vec::new();
-        for mode in [ExecMode::Interp, ExecMode::Compiled, ExecMode::Both] {
+    fn simulates_deterministically() {
+        let run = || {
             let mut w = IrExec::new(sample_module(), 4, 2);
-            let stats = Simulator::new(SimConfig::default().exec(mode)).run(&mut w, 42);
-            assert!(stats.commits > 0, "workload commits under {mode}");
-            reports.push(format!("{stats:?}"));
-        }
-        assert_eq!(reports[0], reports[1], "interp vs compiled");
-        assert_eq!(reports[0], reports[2], "interp vs both");
+            Simulator::new(SimConfig::default()).run(&mut w, 42)
+        };
+        let stats = run();
+        assert!(stats.commits > 0, "workload commits");
+        assert_eq!(format!("{stats:?}"), format!("{:?}", run()));
     }
 
     #[test]

@@ -16,11 +16,18 @@
 //! Dynamic sizes are commit-time set sizes, so aborted (overflowing)
 //! attempts never weaken the check: committed footprints are always a
 //! subset of what the static analysis bounded.
+//!
+//! A third check sandwiches the generated section streams themselves
+//! between the module-wide `[total_lo, total_hi]` envelope, with no
+//! simulator in between (see
+//! [`transaction_block_counts_fit_the_static_envelope`]).
 
 use hintm::{AbortKind, AllocConfig, Experiment, HtmKind};
 use hintm_audit::{analyze_workload, AnalyzeReport, Scale};
 use hintm_ir::{Bound, CapacityModel, Verdict};
-use hintm_workloads::WORKLOAD_NAMES;
+use hintm_sim::Section;
+use hintm_types::ThreadId;
+use hintm_workloads::{by_name, WORKLOAD_NAMES};
 
 /// The HTM configuration each static capacity model describes.
 fn htm_for(model: CapacityModel) -> HtmKind {
@@ -79,6 +86,67 @@ fn static_bounds_dominate_dynamic_footprints() {
                 trace.write_set.max,
             );
         }
+    }
+}
+
+/// Every transaction a workload generates (seed 42, sim scale) touches at
+/// most the module's largest per-transaction upper bound (`total_hi`) of
+/// distinct blocks, and the stream's largest transaction reaches at least
+/// the smallest per-transaction guarantee (`total_lo`). Per-TX lower
+/// bounds cannot apply pointwise because the hand-written streams also
+/// emit small bookkeeping transactions the idealized module does not
+/// model. A generator that dropped or duplicated accesses, or an analysis
+/// regression that narrowed a bound below reality, breaks the sandwich.
+#[test]
+fn transaction_block_counts_fit_the_static_envelope() {
+    for name in WORKLOAD_NAMES {
+        let report = analyze_workload(name, Scale::Sim).expect("known workload");
+        assert!(
+            !report.footprint.txs.is_empty(),
+            "{name}: module declares no transactions"
+        );
+        let lo = report
+            .footprint
+            .txs
+            .iter()
+            .map(|tx| tx.total_lo)
+            .min()
+            .unwrap();
+        let hi = worst_hi(&report, |tx| tx.total_hi);
+
+        let mut w = by_name(name, Scale::Sim).expect("known workload");
+        w.reset(42);
+        let mut live = vec![true; w.num_threads()];
+        let mut txs = 0u64;
+        let mut largest = 0u64;
+        while live.iter().any(|&l| l) {
+            for (t, alive) in live.iter_mut().enumerate() {
+                if !*alive {
+                    continue;
+                }
+                let Some(section) = w.next_section(ThreadId(t as u32)) else {
+                    *alive = false;
+                    continue;
+                };
+                let Section::Tx(body) = section else {
+                    continue;
+                };
+                txs += 1;
+                let blocks = body.footprint_blocks() as u64;
+                largest = largest.max(blocks);
+                assert!(
+                    dominates(hi, blocks),
+                    "{name}: a TX touches {blocks} distinct blocks, above the \
+                     static upper bound {hi}"
+                );
+            }
+        }
+        assert!(txs > 0, "{name}: stream contained no transactions");
+        assert!(
+            largest >= lo,
+            "{name}: the largest TX touches {largest} distinct blocks, below \
+             even the weakest static guarantee {lo}"
+        );
     }
 }
 
