@@ -31,9 +31,23 @@
 
 use crate::{run_pipeline, Diagnostic, Severity, VerifyError};
 use hintm_ir::{Bound, CapacityModel, Module, ModuleFootprint, Verdict};
+use hintm_sim::HtmKind;
 use hintm_types::SiteId;
 use hintm_workloads::Scale;
 use std::collections::BTreeSet;
+
+/// The simulated HTM backend each static capacity model describes: the
+/// one mapping between the analysis's models and the simulator's. A
+/// model's name (table column, JSON key, lint message) is its backend's.
+pub fn htm_kind(model: CapacityModel) -> HtmKind {
+    match model {
+        CapacityModel::P8 => HtmKind::P8,
+        CapacityModel::P8S => HtmKind::P8S,
+        CapacityModel::L1Tm => HtmKind::L1Tm,
+        CapacityModel::Lrws => HtmKind::Lrws,
+        CapacityModel::PStretch => HtmKind::PStretch,
+    }
+}
 
 /// The static analysis verdict for one workload.
 #[derive(Clone, Debug)]
@@ -95,13 +109,7 @@ impl AnalyzeReport {
                 .iter()
                 .filter(|tx| tx.total_hi == Bound::Unbounded)
                 .count(),
-            worst: [
-                self.worst(CapacityModel::P8),
-                self.worst(CapacityModel::P8S),
-                self.worst(CapacityModel::L1Tm),
-                self.worst(CapacityModel::Lrws),
-                self.worst(CapacityModel::PStretch),
-            ],
+            worst: CapacityModel::ALL.map(|m| self.worst(m)),
             declared_safe: self.declared.len(),
             inferred_safe: self.inferred.len(),
         }
@@ -116,9 +124,8 @@ pub struct AnalyzeStats {
     pub num_txs: usize,
     /// Transactions whose total upper bound is unbounded.
     pub unbounded_txs: usize,
-    /// Worst verdict per model, in [`CapacityModel::ALL`] order
-    /// (P8, P8S, L1TM, LRWS, PStretch).
-    pub worst: [Verdict; 5],
+    /// Worst verdict per model, in [`CapacityModel::ALL`] order.
+    pub worst: [Verdict; CapacityModel::ALL.len()],
     /// Declared safe sites.
     pub declared_safe: usize,
     /// Classifier-inferred safe sites.
@@ -176,7 +183,7 @@ mod tests {
         let r = analyze_workload("kmeans", Scale::Sim).expect("known workload");
         assert!(r.passed(), "diags: {:?}", r.diagnostics);
         for m in CapacityModel::ALL {
-            assert_eq!(r.worst(m), Verdict::Fits, "{}", m.name());
+            assert_eq!(r.worst(m), Verdict::Fits, "{}", htm_kind(m));
         }
         assert_eq!(r.declared, r.inferred, "shipped hints match inference");
     }

@@ -42,7 +42,9 @@ pub mod lint;
 pub mod oracle;
 pub mod verify;
 
-pub use analyze::{analyze_all, analyze_module, analyze_workload, AnalyzeReport, AnalyzeStats};
+pub use analyze::{
+    analyze_all, analyze_module, analyze_workload, htm_kind, AnalyzeReport, AnalyzeStats,
+};
 pub use lint::{default_lints, run_lints, Diagnostic, Lint, LintCtx, Severity};
 pub use oracle::{OracleRecorder, OracleReport, UnsoundHint};
 pub use verify::{verify, VerifyError};

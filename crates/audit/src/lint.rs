@@ -354,7 +354,7 @@ impl Lint for CapacityMustOverflow {
             let models: Vec<&str> = CapacityModel::ALL
                 .iter()
                 .filter(|m| m.verdict(tx) == Verdict::MustOverflow)
-                .map(|m| m.name())
+                .map(|&m| crate::htm_kind(m).name())
                 .collect();
             if models.is_empty() {
                 continue;

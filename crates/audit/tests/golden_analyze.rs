@@ -7,7 +7,7 @@
 //! (the soundness harness in `tests/analyze_soundness.rs` separately
 //! proves the bounds dominate dynamic behaviour).
 
-use hintm_audit::{analyze_workload, Scale};
+use hintm_audit::{analyze_workload, htm_kind, Scale};
 use hintm_ir::{Bound, CapacityModel, Verdict};
 
 /// `(read_hi, write_hi, total_hi, total_lo, write_lo)` with `None`
@@ -135,7 +135,7 @@ fn footprint_bounds_match_golden() {
             .collect();
         assert_eq!(got, txs, "{name}: per-tx bounds drifted");
         for (model, want) in CapacityModel::ALL.into_iter().zip(worst) {
-            assert_eq!(r.worst(model), want, "{name} on {}", model.name());
+            assert_eq!(r.worst(model), want, "{name} on {}", htm_kind(model));
         }
         assert!(
             r.footprint.txs.iter().all(|tx| tx.balanced),

@@ -17,13 +17,6 @@ const SUBSET: [&str; 8] = [
     "tpcc-p",
 ];
 
-const HINTS: [HintMode; 4] = [
-    HintMode::Off,
-    HintMode::Static,
-    HintMode::Dynamic,
-    HintMode::Full,
-];
-
 fn main() {
     banner(
         "Figure 7: HinTM on the P8S (signature) HTM, larger inputs",
@@ -39,7 +32,7 @@ fn main() {
     let grid: Vec<_> = SUBSET
         .iter()
         .flat_map(|name| {
-            HINTS
+            HintMode::ALL
                 .iter()
                 .map(|&h| cell(name, HtmKind::P8S, h, Scale::Large))
         })

@@ -1,24 +1,32 @@
 //! Command-line interface: argument parsing and command execution for the
 //! `hintm` binary.
 //!
-//! Hand-rolled parsing (no CLI dependency): three subcommands —
+//! Hand-rolled parsing (no CLI dependency). The subcommands:
 //!
 //! ```text
 //! hintm list
-//! hintm run   --workload vacation [--htm p8|p8s|l1tm|infcap|rot|logtm|lrws|pstretch]
-//!             [--hints off|static|dynamic|full] [--seed N] [--scale sim|large]
-//!             [--threads N] [--smt2] [--preserve] [--csv]
-//! hintm suite [--htm ...] [--hints ...] [--seed N] [--scale ...] [--csv]
-//! hintm audit [--workloads a,b | --all] [--seed N] [--scale ...]
-//! hintm trace <workload> [run options] [--events N] [--out <dir>]
+//! hintm run     --workload <name> [run options] [--csv] [--trace]
+//! hintm suite   [run options] [--csv]
+//! hintm trace   <workload> [run options] [--events N] [--out <dir>]
+//! hintm audit   [--workloads a,b | --all] [--seed N] [--scale s] [--json]
+//! hintm analyze [<workload>..] [--workloads a,b | --all] [--scale s] [--json]
+//! hintm sweep   [sweep options]
+//! hintm perf    [perf options]
+//! hintm serve   [serve options]
+//! hintm cache   clear|stats [--cache-dir <dir>]
 //! ```
+//!
+//! The run options (`--htm`, `--hints`, `--seed`, `--threads`, ...) and
+//! their `sweep` spellings are not listed here: they are the rows of
+//! `KNOBS`, which this module walks for parsing and for the usage text
+//! ([`usage`]). `run`, `suite` and `trace` parse into a [`Cell`], `sweep`
+//! into a [`SweepSpec`].
 
+use crate::cell::{Cell, Knob, SweepSpec, KNOBS};
 use crate::json::{analyze_report_to_json, audit_report_to_json, Json};
-use crate::{
-    chrome_trace, write_binlog, AbortKind, AllocConfig, Experiment, HintMode, HtmKind, RunReport,
-    Scale, WORKLOAD_NAMES,
-};
-use hintm_audit::{AnalyzeReport, AuditReport};
+use crate::{chrome_trace, write_binlog, AbortKind, Recording, RunReport, Scale, WORKLOAD_NAMES};
+use hintm_audit::{htm_kind, AnalyzeReport, AuditReport};
+use hintm_ir::CapacityModel;
 use std::fmt;
 
 /// A CLI parsing or execution error (rendered to stderr by the binary).
@@ -148,8 +156,8 @@ impl Default for AnalyzeArgs {
 /// Options for `hintm trace`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceArgs {
-    /// Run configuration; the workload is `trace`'s positional argument.
-    pub run: RunArgs,
+    /// The run; its workload is `trace`'s positional argument.
+    pub cell: Cell,
     /// Directory for `<workload>.trace.json` (Chrome trace_event) and
     /// `<workload>.trace.bin` (compact binary log).
     pub out: Option<String>,
@@ -161,40 +169,26 @@ pub struct TraceArgs {
 impl Default for TraceArgs {
     fn default() -> Self {
         TraceArgs {
-            run: RunArgs::default(),
+            cell: Cell::new(""),
             out: None,
             events: 100_000,
         }
     }
 }
 
+/// The `hintm sweep --smoke` workload subset: one small workload per
+/// footprint regime (fits / read-heavy / write-present), fast enough for
+/// a CI smoke job.
+pub const SMOKE_WORKLOADS: [&str; 3] = ["kmeans", "ssca2", "tpcc-p"];
+
 /// Options for `hintm sweep`. Parsing lives here with the other commands;
-/// execution lives in the `hintm-runner` crate (which depends on this
-/// one), so [`execute`] rejects it.
-#[derive(Clone, Debug, PartialEq)]
+/// execution lives in the `hintm-serve` crate's binary (which can reach
+/// the runner), so [`execute`] rejects it.
+#[derive(Clone, Debug, PartialEq, Default)]
 pub struct SweepArgs {
-    /// Workloads to sweep (empty = every registered workload).
-    pub workloads: Vec<String>,
-    /// HTM configurations to sweep (empty = `[P8]`).
-    pub htms: Vec<HtmKind>,
-    /// Hint modes to sweep (empty = `[off]`).
-    pub hints: Vec<HintMode>,
-    /// Seeds to sweep (empty = `[42]`).
-    pub seeds: Vec<u64>,
-    /// Input scale.
-    pub scale: Scale,
-    /// Thread-count override.
-    pub threads: Option<usize>,
-    /// 2-way SMT.
-    pub smt2: bool,
-    /// §VI-B preserve optimization.
-    pub preserve: bool,
-    /// Heap-placement color strides to sweep (empty = `[0]`, the packed
-    /// default). A result-affecting axis.
-    pub alloc_colors: Vec<u64>,
-    /// Sweep a three-workload smoke subset instead of every registered
-    /// workload (ignored when `--workloads` names them explicitly).
-    pub smoke: bool,
+    /// The grid. `--smoke` without `--workloads` sets its workload axis to
+    /// [`SMOKE_WORKLOADS`]; an empty one sweeps every registered workload.
+    pub spec: SweepSpec,
     /// Worker threads (`None` = the machine's available parallelism).
     pub jobs: Option<usize>,
     /// Bypass the result cache entirely.
@@ -216,32 +210,6 @@ pub struct SweepArgs {
     /// Trace every cell, summarizing metrics per cell and exporting the
     /// event streams under `<out>/traces/` (forces a cache bypass).
     pub trace: bool,
-}
-
-impl Default for SweepArgs {
-    fn default() -> Self {
-        SweepArgs {
-            workloads: Vec::new(),
-            htms: Vec::new(),
-            hints: Vec::new(),
-            seeds: Vec::new(),
-            scale: Scale::Sim,
-            threads: None,
-            smt2: false,
-            preserve: false,
-            alloc_colors: Vec::new(),
-            smoke: false,
-            jobs: None,
-            no_cache: false,
-            resume: false,
-            cache_dir: None,
-            out: None,
-            csv: false,
-            audit: false,
-            analyze: false,
-            trace: false,
-        }
-    }
 }
 
 /// Options for `hintm perf`. Parsing lives here with the other commands;
@@ -283,26 +251,9 @@ impl Default for PerfArgs {
 /// Options shared by `run` and `suite`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunArgs {
-    /// Workload name (`run` only; ignored by `suite`).
-    pub workload: Option<String>,
-    /// HTM configuration.
-    pub htm: HtmKind,
-    /// Hint mode.
-    pub hints: HintMode,
-    /// Run seed.
-    pub seed: u64,
-    /// Input scale.
-    pub scale: Scale,
-    /// Thread-count override.
-    pub threads: Option<usize>,
-    /// 2-way SMT.
-    pub smt2: bool,
-    /// §VI-B preserve optimization.
-    pub preserve: bool,
-    /// Heap-placement color stride in bytes (`--alloc-color`): padding
-    /// inserted after every fresh heap allocation. `0` keeps the packed
-    /// default. This changes simulated addresses, so it changes results.
-    pub alloc_color: u64,
+    /// The run. Its workload stays empty until `--workload` names one;
+    /// `suite` runs every registered workload instead.
+    pub cell: Cell,
     /// Emit CSV instead of a table.
     pub csv: bool,
     /// Print a lifecycle timeline after the run (`run` only).
@@ -312,23 +263,14 @@ pub struct RunArgs {
 impl Default for RunArgs {
     fn default() -> Self {
         RunArgs {
-            workload: None,
-            htm: HtmKind::P8,
-            hints: HintMode::Off,
-            seed: 42,
-            scale: Scale::Sim,
-            threads: None,
-            smt2: false,
-            preserve: false,
-            alloc_color: 0,
+            cell: Cell::new(""),
             csv: false,
             trace: false,
         }
     }
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
+const USAGE_COMMANDS: &str = "\
 hintm — HinTM (HPCA 2023) reproduction CLI
 
 USAGE:
@@ -345,19 +287,9 @@ USAGE:
   hintm cache stats [--cache-dir <dir>]
 
 OPTIONS:
-  --workload <name>        one of the registered workloads (see `hintm list`)
-  --htm <kind>             p8 | p8s | l1tm | infcap | rot | logtm |
-                           lrws | pstretch                          [p8]
-  --hints <mode>           off | static | dynamic | full            [off]
-  --seed <n>               run seed                                  [42]
-  --scale <s>              sim | large                              [sim]
-  --threads <n>            override the workload's thread count
-  --smt2                   2-way SMT (16 hardware threads)
-  --preserve               enable the preserve page-transition optimization
-  --alloc-color <bytes>    heap-placement color stride: pad every fresh heap
-                           allocation by <bytes>. Changes simulated addresses
-                           (and so abort counts), never committed state    [0]
-  --csv                    machine-readable CSV output
+";
+
+const USAGE_RUN_TAIL: &str = "  --csv                    machine-readable CSV output
   --trace                  print a per-thread lifecycle timeline (run only)
 
 TRACE OPTIONS (records the run's event stream; run options above apply):
@@ -381,22 +313,17 @@ verifier error):
   --scale <s>              scale the module annotations describe         [sim]
   --json                   emit a JSON report instead of the table
 
-SWEEP OPTIONS (comma-separated lists sweep the cross product):
-  --workloads <a,b,..>     workloads to sweep                  [all registered]
-  --htm <k1,k2,..>         HTM configurations to sweep                    [p8]
-  --models <k1,k2,..>      alias for --htm
-  --hints <m1,m2,..>       hint modes to sweep                           [off]
-  --seeds <n1,n2,..>       seeds to sweep                                 [42]
-  --alloc-colors <b1,b2,.> heap-placement color strides to sweep (a
-                           result-affecting axis; --alloc-color also works) [0]
-  --smoke                  sweep a fast three-workload smoke subset instead
+SWEEP OPTIONS (comma-separated lists sweep the cross product; a list left
+out takes the run default, and --workloads every registered workload):
+";
+
+const USAGE_SWEEP_TAIL: &str =
+    "  --smoke                  sweep a fast three-workload smoke subset instead
                            of every registered workload
-  --scale / --threads / --smt2 / --preserve
-                           as above, applied to every cell
   --jobs <n>               worker threads            [machine's parallelism]
   --no-cache               bypass the on-disk result cache
   --resume                 resume an interrupted sweep from the cache
-  --cache-dir <dir>        cache location      [$HINTM_CACHE_DIR or .hintm-cache]
+  --cache-dir <dir>        cache location     [$HINTM_CACHE_DIR or .hintm-cache]
   --out <dir>              write manifest.json + results.{csv,json} here
   --csv                    also print the results CSV to stdout
   --audit                  audit every swept workload after the sweep
@@ -410,7 +337,7 @@ the result cache across workers and repeat submissions):
   --addr <host:port>       listen address                     [127.0.0.1:8191]
   --workers <n>            executor threads [machine's parallelism; 0 = API
                            only, cells wait for joined workers]
-  --cache-dir <dir>        cache location      [$HINTM_CACHE_DIR or .hintm-cache]
+  --cache-dir <dir>        cache location     [$HINTM_CACHE_DIR or .hintm-cache]
   --join <host:port>       join the daemon at host:port as a worker process:
                            claim cells over HTTP, run them, post reports back
 
@@ -429,63 +356,149 @@ when the median events/sec regresses past the threshold):
   --no-compare             measure and write the snapshot only
 ";
 
-/// Parses an HTM configuration name (`p8`, `infcap`, ...) as the CLI and
-/// the server's sweep-spec JSON spell it.
-///
-/// # Errors
-///
-/// Returns [`CliError`] on an unknown name.
-pub fn parse_htm(v: &str) -> Result<HtmKind, CliError> {
-    match v.to_ascii_lowercase().as_str() {
-        "p8" => Ok(HtmKind::P8),
-        "p8s" => Ok(HtmKind::P8S),
-        "l1tm" => Ok(HtmKind::L1Tm),
-        "infcap" => Ok(HtmKind::InfCap),
-        "rot" => Ok(HtmKind::Rot),
-        "logtm" => Ok(HtmKind::LogTm),
-        "lrws" => Ok(HtmKind::Lrws),
-        "pstretch" => Ok(HtmKind::PStretch),
-        other => Err(CliError(format!("unknown --htm `{other}`"))),
+/// Appends one option line: the flag column, then the help text
+/// word-wrapped at 80 columns with its continuation lines aligned under it.
+fn usage_line(out: &mut String, left: &str, text: &str) {
+    const COLUMN: usize = 27;
+    let mut col = if left.len() > 24 {
+        COLUMN + 80
+    } else {
+        COLUMN - 1
+    };
+    *out += &format!("  {left:<24}");
+    for word in text.split_whitespace() {
+        if col + 1 + word.len() > 80 {
+            *out += &format!("\n{:COLUMN$}", "");
+            col = COLUMN;
+        } else {
+            out.push(' ');
+            col += 1;
+        }
+        *out += word;
+        col += word.len();
     }
+    out.push('\n');
 }
 
-/// Parses a hint-mode name (`off`, `static`, `dynamic`, `full`, plus the
-/// `st`/`dyn` aliases) as the CLI and the server's sweep-spec JSON spell
-/// it.
-///
-/// # Errors
-///
-/// Returns [`CliError`] on an unknown name.
-pub fn parse_hints(v: &str) -> Result<HintMode, CliError> {
-    match v.to_ascii_lowercase().as_str() {
-        "off" => Ok(HintMode::Off),
-        "static" | "st" => Ok(HintMode::Static),
-        "dynamic" | "dyn" => Ok(HintMode::Dynamic),
-        "full" => Ok(HintMode::Full),
-        other => Err(CliError(format!("unknown --hints `{other}`"))),
+/// The usage text. The run and sweep option blocks are generated from
+/// `KNOBS`.
+pub fn usage() -> String {
+    let mut u = String::from(USAGE_COMMANDS);
+    for knob in &KNOBS {
+        if let Some(flag) = knob.flag {
+            let (meta, help) = knob.help;
+            usage_line(&mut u, format!("{flag} {meta}").trim_end(), &help());
+        }
     }
+    u += USAGE_RUN_TAIL;
+    let mut applied = Vec::new();
+    for knob in KNOBS.iter().filter(|k| !k.sweep_flags.is_empty()) {
+        let first = knob.sweep_flags[0];
+        if !knob.axis {
+            applied.push(first);
+            continue;
+        }
+        let list = knob.help.0.replace('>', ",..>");
+        let flag = knob.flag.unwrap_or(first);
+        usage_line(
+            &mut u,
+            &format!("{first} {list}"),
+            &format!("{flag} values to sweep"),
+        );
+        for alias in &knob.sweep_flags[1..] {
+            usage_line(
+                &mut u,
+                &format!("{alias} {list}"),
+                &format!("alias for {first}"),
+            );
+        }
+    }
+    usage_line(
+        &mut u,
+        &applied.join(" / "),
+        "as above, applied to every cell",
+    );
+    u + USAGE_SWEEP_TAIL
 }
 
-/// Parses a scale name (`sim` | `large`) as the CLI and the server's
-/// sweep-spec JSON spell it.
-///
-/// # Errors
-///
-/// Returns [`CliError`] on an unknown name.
-pub fn parse_scale(v: &str) -> Result<Scale, CliError> {
-    match v.to_ascii_lowercase().as_str() {
-        "sim" => Ok(Scale::Sim),
-        "large" => Ok(Scale::Large),
-        other => Err(CliError(format!("unknown --scale `{other}`"))),
-    }
+/// The value token after the flag at `args[*i]`, advancing `i` to it.
+fn value<'a>(args: &'a [String], i: &mut usize) -> Result<&'a str, CliError> {
+    let flag = &args[*i];
+    *i += 1;
+    args.get(*i)
+        .map(String::as_str)
+        .ok_or_else(|| CliError(format!("{flag} requires a value")))
 }
 
-/// The inverse of [`parse_scale`]: a scale's canonical name.
-pub fn scale_str(s: Scale) -> &'static str {
-    match s {
-        Scale::Sim => "sim",
-        Scale::Large => "large",
+/// Parses the value of `knob`'s flag at `args[*i]`, advancing `i` past it.
+/// A `list` value is split on commas.
+fn knob_values(
+    knob: &Knob,
+    list: bool,
+    args: &[String],
+    i: &mut usize,
+) -> Result<Vec<Json>, CliError> {
+    if knob.is_switch() {
+        return Ok(vec![Json::Bool(true)]);
     }
+    let v = value(args, i)?;
+    Ok(if list {
+        v.split(',')
+            .filter(|s| !s.is_empty())
+            .map(|s| knob.token(s))
+            .collect()
+    } else {
+        vec![knob.token(v)]
+    })
+}
+
+/// Applies the run-knob flag at `args[*i]` to `cell`, advancing `i` past
+/// its value. Returns `false` when the flag is not a run knob's.
+fn run_knob(cell: &mut Cell, args: &[String], i: &mut usize) -> Result<bool, CliError> {
+    let flag = args[*i].as_str();
+    let Some(knob) = KNOBS.iter().find(|k| k.flag == Some(flag)) else {
+        return Ok(false);
+    };
+    for v in knob_values(knob, false, args, i)? {
+        (knob.set)(cell, &v).map_err(|e| CliError(format!("bad {flag}: {e}")))?;
+    }
+    Ok(true)
+}
+
+/// Applies the sweep-knob flag at `args[*i]` to `spec`, advancing `i`
+/// past its value. Returns `false` when the flag is not a sweep knob's.
+fn sweep_knob(spec: &mut SweepSpec, args: &[String], i: &mut usize) -> Result<bool, CliError> {
+    let flag = args[*i].as_str();
+    let Some(knob) = KNOBS.iter().find(|k| k.sweep_flags.contains(&flag)) else {
+        return Ok(false);
+    };
+    let values = knob_values(knob, knob.axis, args, i)?;
+    spec.set(knob, &values)
+        .map_err(|e| CliError(format!("bad {flag}: {e}")))?;
+    Ok(true)
+}
+
+fn unknown_flag(flag: &str) -> CliError {
+    CliError(format!("unknown flag `{flag}`"))
+}
+
+fn parse_number<T: std::str::FromStr>(args: &[String], i: &mut usize) -> Result<T, CliError> {
+    let flag = args[*i].clone();
+    let v = value(args, i)?;
+    v.parse().map_err(|_| CliError(format!("bad {flag} `{v}`")))
+}
+
+fn parse_scale(args: &[String], i: &mut usize) -> Result<Scale, CliError> {
+    value(args, i)?.parse().map_err(CliError)
+}
+
+/// Splits a comma-separated flag value.
+fn parse_list(args: &[String], i: &mut usize) -> Result<Vec<String>, CliError> {
+    Ok(value(args, i)?
+        .split(',')
+        .filter(|s| !s.is_empty())
+        .map(String::from)
+        .collect())
 }
 
 /// Parses an argument vector (without the program name).
@@ -493,67 +506,42 @@ pub fn scale_str(s: Scale) -> &'static str {
 /// # Errors
 ///
 /// Returns [`CliError`] on unknown subcommands, unknown flags, missing or
-/// malformed values.
+/// malformed values, and knob values out of range ([`Cell::validate`]).
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let Some(sub) = args.first() else {
         return Ok(Command::Help);
     };
+    let rest = &args[1..];
     match sub.as_str() {
         "list" => Ok(Command::List),
         "help" | "--help" | "-h" => Ok(Command::Help),
-        "audit" => parse_audit(&args[1..]),
-        "analyze" => parse_analyze(&args[1..]),
-        "trace" => parse_trace(&args[1..]),
-        "sweep" => parse_sweep(&args[1..]),
-        "perf" => parse_perf(&args[1..]),
-        "cache" => parse_cache(&args[1..]),
-        "serve" => parse_serve(&args[1..]),
+        "audit" => parse_audit(rest),
+        "analyze" => parse_analyze(rest),
+        "trace" => parse_trace(rest),
+        "sweep" => parse_sweep(rest),
+        "perf" => parse_perf(rest),
+        "cache" => parse_cache(rest),
+        "serve" => parse_serve(rest),
         "run" | "suite" => {
             let mut ra = RunArgs::default();
-            let mut i = 1;
-            let value = |i: &mut usize, flag: &str| -> Result<String, CliError> {
-                *i += 1;
-                args.get(*i)
-                    .cloned()
-                    .ok_or_else(|| CliError(format!("{flag} requires a value")))
-            };
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--workload" => ra.workload = Some(value(&mut i, "--workload")?),
-                    "--htm" => ra.htm = parse_htm(&value(&mut i, "--htm")?)?,
-                    "--hints" => ra.hints = parse_hints(&value(&mut i, "--hints")?)?,
-                    "--seed" => {
-                        let v = value(&mut i, "--seed")?;
-                        ra.seed = v
-                            .parse()
-                            .map_err(|_| CliError(format!("bad --seed `{v}`")))?;
+            let mut i = 0;
+            while i < rest.len() {
+                if !run_knob(&mut ra.cell, rest, &mut i)? {
+                    match rest[i].as_str() {
+                        "--csv" => ra.csv = true,
+                        "--trace" => ra.trace = true,
+                        other => return Err(unknown_flag(other)),
                     }
-                    "--scale" => ra.scale = parse_scale(&value(&mut i, "--scale")?)?,
-                    "--threads" => {
-                        let v = value(&mut i, "--threads")?;
-                        ra.threads = Some(
-                            v.parse()
-                                .map_err(|_| CliError(format!("bad --threads `{v}`")))?,
-                        );
-                    }
-                    "--smt2" => ra.smt2 = true,
-                    "--preserve" => ra.preserve = true,
-                    "--alloc-color" => {
-                        ra.alloc_color = parse_alloc_color(&value(&mut i, "--alloc-color")?)?;
-                    }
-                    "--csv" => ra.csv = true,
-                    "--trace" => ra.trace = true,
-                    other => return Err(CliError(format!("unknown flag `{other}`"))),
                 }
                 i += 1;
             }
-            if sub == "run" {
-                if ra.workload.is_none() {
-                    return Err(CliError("`run` requires --workload <name>".into()));
-                }
-                Ok(Command::Run(ra))
-            } else {
+            ra.cell.validate().map_err(CliError)?;
+            if sub == "suite" {
                 Ok(Command::Suite(ra))
+            } else if ra.cell.workload.is_empty() {
+                Err(CliError("`run` requires --workload <name>".into()))
+            } else {
+                Ok(Command::Run(ra))
             }
         }
         other => Err(CliError(format!(
@@ -562,42 +550,18 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     }
 }
 
-/// Parses a heap-placement color stride in bytes (`--alloc-color`).
-fn parse_alloc_color(v: &str) -> Result<u64, CliError> {
-    v.parse()
-        .map_err(|_| CliError(format!("bad --alloc-color `{v}` (expected bytes >= 0)")))
-}
-
-/// Splits a comma-separated flag value, mapping each piece through `f`.
-fn parse_list<T>(v: &str, f: impl Fn(&str) -> Result<T, CliError>) -> Result<Vec<T>, CliError> {
-    v.split(',').filter(|s| !s.is_empty()).map(f).collect()
-}
-
 fn parse_audit(args: &[String]) -> Result<Command, CliError> {
     let mut aa = AuditArgs::default();
     let mut all = false;
     let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, CliError> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| CliError(format!("{flag} requires a value")))
-    };
     while i < args.len() {
         match args[i].as_str() {
-            "--workloads" => {
-                aa.workloads = parse_list(&value(&mut i, "--workloads")?, |s| Ok(s.to_string()))?;
-            }
+            "--workloads" => aa.workloads = parse_list(args, &mut i)?,
             "--all" => all = true,
-            "--seed" => {
-                let v = value(&mut i, "--seed")?;
-                aa.seed = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --seed `{v}`")))?;
-            }
-            "--scale" => aa.scale = parse_scale(&value(&mut i, "--scale")?)?,
+            "--seed" => aa.seed = parse_number(args, &mut i)?,
+            "--scale" => aa.scale = parse_scale(args, &mut i)?,
             "--json" => aa.json = true,
-            other => return Err(CliError(format!("unknown flag `{other}`"))),
+            other => return Err(unknown_flag(other)),
         }
         i += 1;
     }
@@ -611,22 +575,14 @@ fn parse_analyze(args: &[String]) -> Result<Command, CliError> {
     let mut na = AnalyzeArgs::default();
     let mut all = false;
     let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, CliError> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| CliError(format!("{flag} requires a value")))
-    };
     while i < args.len() {
         match args[i].as_str() {
-            "--workloads" => {
-                na.workloads = parse_list(&value(&mut i, "--workloads")?, |s| Ok(s.to_string()))?;
-            }
+            "--workloads" => na.workloads = parse_list(args, &mut i)?,
             "--all" => all = true,
-            "--scale" => na.scale = parse_scale(&value(&mut i, "--scale")?)?,
+            "--scale" => na.scale = parse_scale(args, &mut i)?,
             "--json" => na.json = true,
             name if !name.starts_with('-') => na.workloads.push(name.to_string()),
-            other => return Err(CliError(format!("unknown flag `{other}`"))),
+            other => return Err(unknown_flag(other)),
         }
         i += 1;
     }
@@ -639,158 +595,80 @@ fn parse_analyze(args: &[String]) -> Result<Command, CliError> {
 fn parse_trace(args: &[String]) -> Result<Command, CliError> {
     let mut ta = TraceArgs::default();
     let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, CliError> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| CliError(format!("{flag} requires a value")))
-    };
     while i < args.len() {
-        match args[i].as_str() {
-            "--workload" => ta.run.workload = Some(value(&mut i, "--workload")?),
-            "--htm" => ta.run.htm = parse_htm(&value(&mut i, "--htm")?)?,
-            "--hints" => ta.run.hints = parse_hints(&value(&mut i, "--hints")?)?,
-            "--seed" => {
-                let v = value(&mut i, "--seed")?;
-                ta.run.seed = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --seed `{v}`")))?;
+        if !run_knob(&mut ta.cell, args, &mut i)? {
+            match args[i].as_str() {
+                "--events" => ta.events = parse_number(args, &mut i)?,
+                "--out" => ta.out = Some(value(args, &mut i)?.to_string()),
+                name if !name.starts_with('-') && ta.cell.workload.is_empty() => {
+                    ta.cell.workload = name.to_string();
+                }
+                other => return Err(unknown_flag(other)),
             }
-            "--scale" => ta.run.scale = parse_scale(&value(&mut i, "--scale")?)?,
-            "--threads" => {
-                let v = value(&mut i, "--threads")?;
-                ta.run.threads = Some(
-                    v.parse()
-                        .map_err(|_| CliError(format!("bad --threads `{v}`")))?,
-                );
-            }
-            "--smt2" => ta.run.smt2 = true,
-            "--preserve" => ta.run.preserve = true,
-            "--alloc-color" => {
-                ta.run.alloc_color = parse_alloc_color(&value(&mut i, "--alloc-color")?)?;
-            }
-            "--events" => {
-                let v = value(&mut i, "--events")?;
-                ta.events = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --events `{v}`")))?;
-            }
-            "--out" => ta.out = Some(value(&mut i, "--out")?),
-            name if !name.starts_with('-') && ta.run.workload.is_none() => {
-                ta.run.workload = Some(name.to_string());
-            }
-            other => return Err(CliError(format!("unknown flag `{other}`"))),
         }
         i += 1;
     }
-    if ta.run.workload.is_none() {
+    if ta.cell.workload.is_empty() {
         return Err(CliError("`trace` requires a workload name".into()));
     }
+    ta.cell.validate().map_err(CliError)?;
     Ok(Command::Trace(ta))
 }
 
 fn parse_sweep(args: &[String]) -> Result<Command, CliError> {
     let mut sa = SweepArgs::default();
+    let mut smoke = false;
     let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, CliError> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| CliError(format!("{flag} requires a value")))
-    };
     while i < args.len() {
-        match args[i].as_str() {
-            "--workloads" => {
-                sa.workloads = parse_list(&value(&mut i, "--workloads")?, |s| Ok(s.to_string()))?;
+        if !sweep_knob(&mut sa.spec, args, &mut i)? {
+            match args[i].as_str() {
+                "--smoke" => smoke = true,
+                "--jobs" => sa.jobs = Some(parse_number(args, &mut i)?),
+                "--no-cache" => sa.no_cache = true,
+                "--resume" => sa.resume = true,
+                "--cache-dir" => sa.cache_dir = Some(value(args, &mut i)?.to_string()),
+                "--out" => sa.out = Some(value(args, &mut i)?.to_string()),
+                "--csv" => sa.csv = true,
+                "--audit" => sa.audit = true,
+                "--analyze" => sa.analyze = true,
+                "--trace" => sa.trace = true,
+                other => return Err(unknown_flag(other)),
             }
-            flag @ ("--htm" | "--models") => {
-                sa.htms = parse_list(&value(&mut i, flag)?, parse_htm)?;
-            }
-            "--hints" => sa.hints = parse_list(&value(&mut i, "--hints")?, parse_hints)?,
-            "--seeds" => {
-                sa.seeds = parse_list(&value(&mut i, "--seeds")?, |s| {
-                    s.parse().map_err(|_| CliError(format!("bad seed `{s}`")))
-                })?;
-            }
-            "--scale" => sa.scale = parse_scale(&value(&mut i, "--scale")?)?,
-            "--threads" => {
-                let v = value(&mut i, "--threads")?;
-                sa.threads = Some(
-                    v.parse()
-                        .map_err(|_| CliError(format!("bad --threads `{v}`")))?,
-                );
-            }
-            "--smt2" => sa.smt2 = true,
-            "--preserve" => sa.preserve = true,
-            flag @ ("--alloc-color" | "--alloc-colors") => {
-                sa.alloc_colors = parse_list(&value(&mut i, flag)?, parse_alloc_color)?;
-            }
-            "--smoke" => sa.smoke = true,
-            "--jobs" => {
-                let v = value(&mut i, "--jobs")?;
-                sa.jobs = Some(
-                    v.parse()
-                        .map_err(|_| CliError(format!("bad --jobs `{v}`")))?,
-                );
-            }
-            "--no-cache" => sa.no_cache = true,
-            "--resume" => sa.resume = true,
-            "--cache-dir" => sa.cache_dir = Some(value(&mut i, "--cache-dir")?),
-            "--out" => sa.out = Some(value(&mut i, "--out")?),
-            "--csv" => sa.csv = true,
-            "--audit" => sa.audit = true,
-            "--analyze" => sa.analyze = true,
-            "--trace" => sa.trace = true,
-            other => return Err(CliError(format!("unknown flag `{other}`"))),
         }
         i += 1;
     }
     if sa.no_cache && sa.resume {
         return Err(CliError("--resume needs the cache; drop --no-cache".into()));
     }
+    if smoke && sa.spec.is_default("workload") {
+        sa.spec = sa.spec.workloads(SMOKE_WORKLOADS);
+    }
+    sa.spec.checked_cells().map_err(CliError)?;
     Ok(Command::Sweep(sa))
 }
 
 fn parse_perf(args: &[String]) -> Result<Command, CliError> {
     let mut pa = PerfArgs::default();
     let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, CliError> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| CliError(format!("{flag} requires a value")))
-    };
     while i < args.len() {
         match args[i].as_str() {
             "--smoke" => pa.smoke = true,
-            "--repeat" => {
-                let v = value(&mut i, "--repeat")?;
-                pa.repeat = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --repeat `{v}`")))?;
-            }
-            "--warmup" => {
-                let v = value(&mut i, "--warmup")?;
-                pa.warmup = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --warmup `{v}`")))?;
-            }
-            "--out" => pa.out = Some(value(&mut i, "--out")?),
-            "--baseline" => pa.baseline = Some(value(&mut i, "--baseline")?),
+            "--repeat" => pa.repeat = parse_number(args, &mut i)?,
+            "--warmup" => pa.warmup = parse_number(args, &mut i)?,
+            "--out" => pa.out = Some(value(args, &mut i)?.to_string()),
+            "--baseline" => pa.baseline = Some(value(args, &mut i)?.to_string()),
             "--threshold" => {
-                let v = value(&mut i, "--threshold")?;
-                let t: f64 = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --threshold `{v}`")))?;
+                let t: f64 = parse_number(args, &mut i)?;
                 if !(0.0..1.0).contains(&t) {
                     return Err(CliError(format!(
-                        "--threshold must be a fraction in [0, 1), got `{v}`"
+                        "--threshold must be a fraction in [0, 1), got `{}`",
+                        args[i]
                     )));
                 }
                 pa.threshold = Some(t);
             }
             "--no-compare" => pa.no_compare = true,
-            other => return Err(CliError(format!("unknown flag `{other}`"))),
+            other => return Err(unknown_flag(other)),
         }
         i += 1;
     }
@@ -807,15 +685,8 @@ fn parse_cache(args: &[String]) -> Result<Command, CliError> {
             let mut i = 1;
             while i < args.len() {
                 match args[i].as_str() {
-                    "--cache-dir" => {
-                        i += 1;
-                        dir = Some(
-                            args.get(i)
-                                .cloned()
-                                .ok_or_else(|| CliError("--cache-dir requires a value".into()))?,
-                        );
-                    }
-                    other => return Err(CliError(format!("unknown flag `{other}`"))),
+                    "--cache-dir" => dir = Some(value(args, &mut i)?.to_string()),
+                    other => return Err(unknown_flag(other)),
                 }
                 i += 1;
             }
@@ -837,25 +708,13 @@ fn parse_cache(args: &[String]) -> Result<Command, CliError> {
 fn parse_serve(args: &[String]) -> Result<Command, CliError> {
     let mut sa = ServeArgs::default();
     let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, CliError> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| CliError(format!("{flag} requires a value")))
-    };
     while i < args.len() {
         match args[i].as_str() {
-            "--addr" => sa.addr = value(&mut i, "--addr")?,
-            "--workers" => {
-                let v = value(&mut i, "--workers")?;
-                sa.workers = Some(
-                    v.parse()
-                        .map_err(|_| CliError(format!("bad --workers `{v}`")))?,
-                );
-            }
-            "--cache-dir" => sa.cache_dir = Some(value(&mut i, "--cache-dir")?),
-            "--join" => sa.join = Some(value(&mut i, "--join")?),
-            other => return Err(CliError(format!("unknown flag `{other}`"))),
+            "--addr" => sa.addr = value(args, &mut i)?.to_string(),
+            "--workers" => sa.workers = Some(parse_number(args, &mut i)?),
+            "--cache-dir" => sa.cache_dir = Some(value(args, &mut i)?.to_string()),
+            "--join" => sa.join = Some(value(args, &mut i)?.to_string()),
+            other => return Err(unknown_flag(other)),
         }
         i += 1;
     }
@@ -867,28 +726,21 @@ fn parse_serve(args: &[String]) -> Result<Command, CliError> {
     Ok(Command::Serve(sa))
 }
 
-fn experiment(name: &str, ra: &RunArgs) -> Experiment {
-    let mut e = Experiment::new(name)
-        .htm(ra.htm)
-        .hint_mode(ra.hints)
-        .seed(ra.seed)
-        .scale(ra.scale)
-        .smt2(ra.smt2)
-        .preserve(ra.preserve)
-        .alloc(AllocConfig {
-            color_stride: ra.alloc_color,
-            ..AllocConfig::default()
-        });
-    if let Some(t) = ra.threads {
-        e = e.threads(t);
-    }
-    e
+/// Writes a traced run's per-thread lifecycle timeline.
+fn write_timeline(
+    out: &mut impl std::io::Write,
+    rec: &Recording,
+    cell: &Cell,
+) -> std::io::Result<()> {
+    writeln!(
+        out,
+        "\ntimeline (C commit, a/A/P aborts, F fallback, s shootdown):"
+    )?;
+    writeln!(out, "{}", rec.render_timeline(cell.hw_threads(), 100))
 }
 
-fn run_one(name: &str, ra: &RunArgs) -> Result<RunReport, CliError> {
-    experiment(name, ra)
-        .run()
-        .map_err(|e| CliError(e.to_string()))
+fn run_one(cell: &Cell) -> Result<RunReport, CliError> {
+    cell.run().map_err(|e| CliError(e.to_string()))
 }
 
 /// CSV header matching [`csv_row`].
@@ -942,38 +794,31 @@ pub fn audit_row(r: &AuditReport) -> String {
     )
 }
 
-/// Column header matching [`analyze_row`].
+/// Column header matching [`analyze_row`]: one verdict column per
+/// [`CapacityModel`], named after its HTM backend.
 pub fn analyze_header() -> String {
-    format!(
-        "{:<12} {:>3} {:>3}  {:<13} {:<13} {:<13} {:<13} {:<13} {:>4} {:>4} {:>5} {:>5}  verdict",
-        "workload",
-        "txs",
-        "unb",
-        "P8",
-        "P8S",
-        "L1TM",
-        "LRWS",
-        "PStretch",
-        "decl",
-        "inf",
-        "lintE",
-        "lintW",
+    let mut h = format!("{:<12} {:>3} {:>3} ", "workload", "txs", "unb");
+    for model in CapacityModel::ALL {
+        h += &format!(" {:<13}", htm_kind(model).name());
+    }
+    h + &format!(
+        " {:>4} {:>4} {:>5} {:>5}  verdict",
+        "decl", "inf", "lintE", "lintW"
     )
 }
 
 /// Renders one analyze report as a fixed-width table row.
 pub fn analyze_row(r: &AnalyzeReport) -> String {
     let s = r.stats();
-    format!(
-        "{:<12} {:>3} {:>3}  {:<13} {:<13} {:<13} {:<13} {:<13} {:>4} {:>4} {:>5} {:>5}  {}",
-        r.workload,
-        s.num_txs,
-        s.unbounded_txs,
-        s.worst[0].to_string(),
-        s.worst[1].to_string(),
-        s.worst[2].to_string(),
-        s.worst[3].to_string(),
-        s.worst[4].to_string(),
+    let mut row = format!(
+        "{:<12} {:>3} {:>3} ",
+        r.workload, s.num_txs, s.unbounded_txs
+    );
+    for verdict in s.worst {
+        row += &format!(" {:<13}", verdict.to_string());
+    }
+    row + &format!(
+        " {:>4} {:>4} {:>5} {:>5}  {}",
         s.declared_safe,
         s.inferred_safe,
         r.lint_errors(),
@@ -1044,7 +889,7 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<(), CliEr
              the hintm-serve crate"
                 .into(),
         )),
-        Command::Help => writeln!(out, "{USAGE}").map_err(io),
+        Command::Help => writeln!(out, "{}", usage()).map_err(io),
         Command::List => {
             for name in WORKLOAD_NAMES {
                 writeln!(out, "{name}").map_err(io)?;
@@ -1052,34 +897,27 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<(), CliEr
             Ok(())
         }
         Command::Run(ra) => {
-            let name = ra.workload.as_deref().expect("validated by parse");
+            let cell = &ra.cell;
             if ra.trace {
-                let (r, trace) = experiment(name, ra)
+                let (r, trace) = cell
                     .run_traced(100_000)
                     .map_err(|e| CliError(e.to_string()))?;
                 writeln!(out, "{r}").map_err(io)?;
-                let threads = if ra.smt2 { 16 } else { 8 };
-                writeln!(
-                    out,
-                    "
-timeline (C commit, a/A/P aborts, F fallback, s shootdown):"
-                )
-                .map_err(io)?;
-                writeln!(out, "{}", trace.render_timeline(threads, 100)).map_err(io)?;
-                return Ok(());
+                return write_timeline(out, &trace, cell).map_err(io);
             }
-            let r = run_one(name, ra)?;
+            let r = run_one(cell)?;
             if ra.csv {
                 writeln!(out, "{CSV_HEADER}").map_err(io)?;
-                writeln!(out, "{}", csv_row(&r, ra.seed)).map_err(io)?;
+                writeln!(out, "{}", csv_row(&r, cell.seed)).map_err(io)?;
             } else {
                 writeln!(out, "{r}").map_err(io)?;
             }
             Ok(())
         }
         Command::Trace(ta) => {
-            let name = ta.run.workload.as_deref().expect("validated by parse");
-            let (r, rec) = experiment(name, &ta.run)
+            let name = &ta.cell.workload;
+            let (r, rec) = ta
+                .cell
                 .run_traced(ta.events)
                 .map_err(|e| CliError(e.to_string()))?;
             writeln!(out, "{r}").map_err(io)?;
@@ -1099,13 +937,7 @@ timeline (C commit, a/A/P aborts, F fallback, s shootdown):"
                 t.retries.mean()
             )
             .map_err(io)?;
-            let threads = if ta.run.smt2 { 16 } else { 8 };
-            writeln!(
-                out,
-                "\ntimeline (C commit, a/A/P aborts, F fallback, s shootdown):"
-            )
-            .map_err(io)?;
-            writeln!(out, "{}", rec.render_timeline(threads, 100)).map_err(io)?;
+            write_timeline(out, &rec, &ta.cell).map_err(io)?;
             if let Some(dir) = &ta.out {
                 std::fs::create_dir_all(dir).map_err(io)?;
                 let json_path = format!("{dir}/{name}.trace.json");
@@ -1188,9 +1020,13 @@ timeline (C commit, a/A/P aborts, F fallback, s shootdown):"
                 writeln!(out, "{CSV_HEADER}").map_err(io)?;
             }
             for name in WORKLOAD_NAMES {
-                let r = run_one(name, ra)?;
+                let cell = Cell {
+                    workload: name.to_string(),
+                    ..ra.cell.clone()
+                };
+                let r = run_one(&cell)?;
                 if ra.csv {
-                    writeln!(out, "{}", csv_row(&r, ra.seed)).map_err(io)?;
+                    writeln!(out, "{}", csv_row(&r, cell.seed)).map_err(io)?;
                 } else {
                     writeln!(out, "{r}").map_err(io)?;
                 }
@@ -1203,6 +1039,7 @@ timeline (C commit, a/A/P aborts, F fallback, s shootdown):"
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{HintMode, HtmKind};
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -1225,13 +1062,16 @@ mod tests {
         let Command::Run(ra) = cmd else {
             panic!("expected run")
         };
-        assert_eq!(ra.workload.as_deref(), Some("vacation"));
-        assert_eq!(ra.htm, HtmKind::L1Tm);
-        assert_eq!(ra.hints, HintMode::Full);
-        assert_eq!(ra.seed, 7);
-        assert_eq!(ra.scale, Scale::Large);
-        assert_eq!(ra.threads, Some(16));
-        assert!(ra.smt2 && ra.preserve && ra.csv);
+        let want = Cell::new("vacation")
+            .htm(HtmKind::L1Tm)
+            .hint(HintMode::Full)
+            .seed(7)
+            .scale(Scale::Large)
+            .threads(16)
+            .smt2(true)
+            .preserve(true);
+        assert_eq!(ra.cell, want);
+        assert!(ra.csv && !ra.trace);
     }
 
     #[test]
@@ -1248,56 +1088,61 @@ mod tests {
         assert!(parse(&argv("run --workload")).is_err());
     }
 
+    fn run_cell(args: &str) -> Cell {
+        match parse(&argv(args)).unwrap() {
+            Command::Run(ra) => ra.cell,
+            other => panic!("expected run, got {other:?}"),
+        }
+    }
+
     #[test]
     fn hint_aliases() {
-        assert_eq!(parse_hints("st").unwrap(), HintMode::Static);
-        assert_eq!(parse_hints("dyn").unwrap(), HintMode::Dynamic);
+        let hints = |v: &str| run_cell(&format!("run --workload x --hints {v}")).hint;
+        assert_eq!(hints("st"), HintMode::Static);
+        assert_eq!(hints("dyn"), HintMode::Dynamic);
+        // The report names parse too, in any case.
+        assert_eq!(hints("HinTM-dyn"), HintMode::Dynamic);
+        assert_eq!(hints("FULL"), HintMode::Full);
     }
 
     #[test]
     fn parses_capacity_model_names() {
-        assert_eq!(parse_htm("lrws").unwrap(), HtmKind::Lrws);
-        assert_eq!(parse_htm("PStretch").unwrap(), HtmKind::PStretch);
-        let Command::Run(ra) = parse(&argv("run --workload kmeans --htm pstretch")).unwrap() else {
-            panic!("expected run")
-        };
-        assert_eq!(ra.htm, HtmKind::PStretch);
-    }
-
-    #[test]
-    fn parses_alloc_color_everywhere() {
-        let Command::Run(ra) = parse(&argv("run --workload kmeans --alloc-color 64")).unwrap()
-        else {
-            panic!("expected run")
-        };
-        assert_eq!(ra.alloc_color, 64);
-        let Command::Trace(ta) = parse(&argv("trace kmeans --alloc-color 128")).unwrap() else {
-            panic!("expected trace")
-        };
-        assert_eq!(ta.run.alloc_color, 128);
-        let Command::Sweep(sa) = parse(&argv("sweep --alloc-colors 0,64,128")).unwrap() else {
+        for kind in HtmKind::ALL {
+            for name in [kind.name().to_string(), kind.name().to_ascii_lowercase()] {
+                let cell = run_cell(&format!("run --workload kmeans --htm {name}"));
+                assert_eq!(cell.htm, kind);
+            }
+        }
+        let sweep = parse(&argv("sweep --models lrws,PStretch")).unwrap();
+        let Command::Sweep(sa) = sweep else {
             panic!("expected sweep")
         };
-        assert_eq!(sa.alloc_colors, vec![0, 64, 128]);
-        // Defaults keep the packed layout; garbage is rejected.
-        assert_eq!(RunArgs::default().alloc_color, 0);
-        assert!(SweepArgs::default().alloc_colors.is_empty());
-        assert!(parse(&argv("run --workload kmeans --alloc-color nope")).is_err());
+        assert_eq!(
+            sa.spec,
+            SweepSpec::new().htms(HtmKind::ALL[6..].iter().copied())
+        );
     }
 
     #[test]
     fn sweep_models_alias_and_smoke() {
-        let Command::Sweep(sa) = parse(&argv("sweep --models lrws,pstretch --smoke")).unwrap()
+        let Command::Sweep(sa) = parse(&argv("sweep --models p8s,pstretch --smoke")).unwrap()
         else {
             panic!("expected sweep")
         };
-        assert_eq!(sa.htms, vec![HtmKind::Lrws, HtmKind::PStretch]);
-        assert!(sa.smoke);
+        let models = [HtmKind::P8S, HtmKind::PStretch];
+        assert_eq!(
+            sa.spec,
+            SweepSpec::new().htms(models).workloads(SMOKE_WORKLOADS)
+        );
         let Command::Sweep(sa) = parse(&argv("sweep --htm p8")).unwrap() else {
             panic!("expected sweep")
         };
-        assert_eq!(sa.htms, vec![HtmKind::P8]);
-        assert!(!sa.smoke);
+        assert_eq!(sa.spec, SweepSpec::new().htm(HtmKind::P8));
+        // Named workloads win over the smoke subset.
+        let Command::Sweep(sa) = parse(&argv("sweep --smoke --workloads genome")).unwrap() else {
+            panic!("expected sweep")
+        };
+        assert_eq!(sa.spec, SweepSpec::new().workload("genome"));
     }
 
     #[test]
@@ -1452,9 +1297,7 @@ mod tests {
         .unwrap() else {
             panic!("expected trace")
         };
-        assert_eq!(ta.run.workload.as_deref(), Some("vacation"));
-        assert_eq!(ta.run.htm, HtmKind::L1Tm);
-        assert_eq!(ta.run.seed, 7);
+        assert_eq!(ta.cell, Cell::new("vacation").htm(HtmKind::L1Tm).seed(7));
         assert_eq!(ta.events, 512);
         assert_eq!(ta.out.as_deref(), Some("/tmp/t"));
 
@@ -1462,7 +1305,7 @@ mod tests {
         let Command::Trace(ta) = parse(&argv("trace --workload kmeans")).unwrap() else {
             panic!("expected trace")
         };
-        assert_eq!(ta.run.workload.as_deref(), Some("kmeans"));
+        assert_eq!(ta.cell, Cell::new("kmeans"));
         assert_eq!(ta.events, 100_000);
         assert_eq!(ta.out, None);
 
@@ -1504,14 +1347,18 @@ mod tests {
             panic!("expected sweep")
         };
         assert!(sa.trace && sa.analyze);
-        assert_eq!(sa.workloads, vec!["vacation", "labyrinth"]);
-        assert_eq!(sa.htms, vec![HtmKind::P8, HtmKind::InfCap]);
-        assert_eq!(sa.hints, vec![HintMode::Off, HintMode::Full]);
-        assert_eq!(sa.seeds, vec![1, 2, 3]);
-        assert_eq!(sa.scale, Scale::Large);
-        assert_eq!(sa.threads, Some(16));
+        let want = SweepSpec::new()
+            .workloads(["vacation", "labyrinth"])
+            .htms([HtmKind::P8, HtmKind::InfCap])
+            .hints([HintMode::Off, HintMode::Full])
+            .seeds([1, 2, 3])
+            .scale(Scale::Large)
+            .threads(16)
+            .smt2(true)
+            .preserve(true);
+        assert_eq!(sa.spec, want);
         assert_eq!(sa.jobs, Some(8));
-        assert!(sa.smt2 && sa.preserve && sa.csv && sa.audit);
+        assert!(sa.csv && sa.audit);
         assert_eq!(sa.cache_dir.as_deref(), Some("/tmp/c"));
         assert_eq!(sa.out.as_deref(), Some("/tmp/o"));
         assert!(!sa.no_cache && !sa.resume);
@@ -1627,9 +1474,37 @@ mod tests {
     }
 
     #[test]
-    fn scale_round_trips_through_names() {
-        for s in [Scale::Sim, Scale::Large] {
-            assert_eq!(parse_scale(scale_str(s)).unwrap(), s);
+    fn usage_documents_every_knob_flag() {
+        let u = usage();
+        for knob in &KNOBS {
+            for flag in knob.flag.iter().chain(knob.sweep_flags) {
+                assert!(u.contains(&format!("  {flag}")), "usage misses {flag}");
+            }
+        }
+        for kind in HtmKind::ALL {
+            assert!(u.contains(&kind.name().to_ascii_lowercase()), "{kind}");
+        }
+        assert!(u.contains("off | static | dynamic | full"));
+        assert!(u.lines().all(|l| l.chars().count() <= 80), "{u}");
+        assert!(u.contains("\n  --csv "), "{u}");
+    }
+
+    #[test]
+    fn every_knob_flag_parses_on_every_surface() {
+        // The default cell's values, spelled as flags, reproduce it.
+        let default = Cell::new("kmeans");
+        for knob in KNOBS.iter().filter(|k| !k.is_switch()) {
+            let v = (knob.get)(&default);
+            if v == crate::cell::Value::Auto {
+                continue;
+            }
+            if let Some(flag) = knob.flag {
+                let cell = run_cell(&format!("run --workload kmeans {flag} {v}"));
+                assert_eq!(cell.key(), Cell::new("kmeans").key(), "{flag}");
+            }
+            for flag in knob.sweep_flags {
+                assert!(parse(&argv(&format!("sweep {flag} {v}"))).is_ok(), "{flag}");
+            }
         }
     }
 

@@ -21,8 +21,8 @@
 //! # Ok::<(), hintm::UnknownWorkload>(())
 //! ```
 
-use crate::{HintMode, HtmKind, RunReport, RunStats};
-use hintm_audit::{AnalyzeReport, AuditReport, Diagnostic};
+use crate::{RunReport, RunStats};
+use hintm_audit::{htm_kind, AnalyzeReport, AuditReport, Diagnostic};
 use hintm_ir::{Bound, CapacityModel};
 use hintm_trace::{HistSummary, TraceSummary};
 use std::fmt;
@@ -386,30 +386,6 @@ fn parse_u32_vec(j: &Json, key: &str) -> Result<Vec<u32>, JsonError> {
         .collect()
 }
 
-fn htm_from_str(s: &str) -> Result<HtmKind, JsonError> {
-    match s {
-        "P8" => Ok(HtmKind::P8),
-        "P8S" => Ok(HtmKind::P8S),
-        "L1TM" => Ok(HtmKind::L1Tm),
-        "InfCap" => Ok(HtmKind::InfCap),
-        "ROT" => Ok(HtmKind::Rot),
-        "LogTM" => Ok(HtmKind::LogTm),
-        "LRWS" => Ok(HtmKind::Lrws),
-        "PStretch" => Ok(HtmKind::PStretch),
-        other => err(format!("unknown htm kind `{other}`")),
-    }
-}
-
-fn hint_from_str(s: &str) -> Result<HintMode, JsonError> {
-    match s {
-        "baseline" => Ok(HintMode::Off),
-        "HinTM-st" => Ok(HintMode::Static),
-        "HinTM-dyn" => Ok(HintMode::Dynamic),
-        "HinTM" => Ok(HintMode::Full),
-        other => err(format!("unknown hint mode `{other}`")),
-    }
-}
-
 /// Serializes run statistics to a JSON value (exact round trip via
 /// [`run_stats_from_json`]).
 pub fn run_stats_to_json(stats: &RunStats) -> Json {
@@ -649,8 +625,8 @@ impl RunReport {
     pub fn from_json_value(j: &Json) -> Result<RunReport, JsonError> {
         Ok(RunReport {
             workload: j.field("workload")?.as_str()?.to_string(),
-            htm: htm_from_str(j.field("htm")?.as_str()?)?,
-            hint_mode: hint_from_str(j.field("hint_mode")?.as_str()?)?,
+            htm: j.field("htm")?.as_str()?.parse().map_err(JsonError)?,
+            hint_mode: j.field("hint_mode")?.as_str()?.parse().map_err(JsonError)?,
             stats: run_stats_from_json(j.field("stats")?)?,
             trace: match j.get("trace") {
                 None | Some(Json::Null) => None,
@@ -701,7 +677,12 @@ pub fn analyze_report_to_json(r: &AnalyzeReport) -> Json {
         .map(|(tx, func)| {
             let verdicts = CapacityModel::ALL
                 .iter()
-                .map(|m| (m.name().to_string(), Json::Str(m.verdict(tx).to_string())))
+                .map(|&m| {
+                    (
+                        htm_kind(m).to_string(),
+                        Json::Str(m.verdict(tx).to_string()),
+                    )
+                })
                 .collect();
             Json::Obj(vec![
                 ("func".into(), Json::Str(func.clone())),
@@ -720,7 +701,7 @@ pub fn analyze_report_to_json(r: &AnalyzeReport) -> Json {
         .iter()
         .map(|m| {
             (
-                m.name().to_string(),
+                htm_kind(*m).to_string(),
                 Json::Str(r.footprint.worst(*m).to_string()),
             )
         })

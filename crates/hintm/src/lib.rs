@@ -11,11 +11,17 @@
 //! * [`hintm_types`] — addresses, identifiers, the Table II machine config;
 //! * [`hintm_mem`] — simulated address space + trace-emitting structures;
 //! * [`hintm_cache`] — MESI L1/L2 hierarchy;
-//! * [`hintm_htm`] — the four HTM models (P8 / P8S / L1TM / InfCap);
+//! * [`hintm_htm`] — the HTM models, listed in [`HtmKind::ALL`] (P8, P8S,
+//!   L1TM and InfCap from the paper, plus ROT, LogTM, LRWS and PStretch);
 //! * [`hintm_vm`] — page-level dynamic classification (Fig. 2) + TLBs;
 //! * [`hintm_ir`] — the static classification compiler pipeline (§IV-A);
 //! * [`hintm_sim`] — the execution-driven multicore engine;
 //! * [`hintm_workloads`] — STAMP + TPC-C workload suite.
+//!
+//! On top of them, [`cell`] defines a run: [`Cell`], the [`SweepSpec`]
+//! grid builder, and `KNOBS`, the one table every run knob's
+//! command-line flags, JSON fields, cache-key fragment and help line come
+//! from. [`cli`] parses and runs the `hintm` commands from that table.
 //!
 //! # Quickstart
 //!
@@ -37,9 +43,11 @@
 //! # Ok::<(), hintm::UnknownWorkload>(())
 //! ```
 
+pub mod cell;
 pub mod cli;
 pub mod json;
 
+pub use cell::{cell_from_json, cell_to_json, Cell, SweepSpec};
 pub use hintm_htm::{HtmConfig, HtmKind};
 pub use hintm_sim::{
     HintMode, Recording, RunStats, Section, SimConfig, Simulator, TraceEvent, TraceSink, TxBody,
@@ -147,8 +155,8 @@ impl Experiment {
         self
     }
 
-    /// Overrides the [`HtmKind::Lrws`] read/write-set limits (defaults
-    /// 32/32). Only meaningful under the LRWS model; with both limits at
+    /// Overrides the LRWS model's read/write-set limits (defaults 32/32).
+    /// Only meaningful under that model; with both limits at
     /// the buffer capacity the model degenerates to exact P8 tracking.
     pub fn lrws_limits(mut self, read: usize, write: usize) -> Self {
         self.lrws_limits = Some((read, write));

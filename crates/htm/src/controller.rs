@@ -2,6 +2,7 @@
 //! tracking, and statistics.
 
 use crate::tracker::{CapacityAbort, Tracker};
+use hintm_types::names::{self, NameTable};
 use hintm_types::{AbortKind, AccessKind, BlockAddr, Cycles};
 use std::fmt;
 
@@ -34,18 +35,42 @@ pub enum HtmKind {
     PStretch,
 }
 
+/// The name table: every model with its display name, which reports,
+/// cell keys and manifests carry. Parsing ignores case, so the lowercase
+/// command-line spelling (`p8`, `lrws`, ...) is the same row.
+const NAMES: NameTable<HtmKind, 8> = [
+    (HtmKind::P8, &["P8"]),
+    (HtmKind::P8S, &["P8S"]),
+    (HtmKind::L1Tm, &["L1TM"]),
+    (HtmKind::InfCap, &["InfCap"]),
+    (HtmKind::Rot, &["ROT"]),
+    (HtmKind::LogTm, &["LogTM"]),
+    (HtmKind::Lrws, &["LRWS"]),
+    (HtmKind::PStretch, &["PStretch"]),
+];
+
+impl HtmKind {
+    /// Every model, in name-table order (the column order of the blessed
+    /// digest table).
+    pub const ALL: [HtmKind; 8] = names::values(&NAMES);
+
+    /// The model's display name (`P8`, `L1TM`, ...).
+    pub fn name(self) -> &'static str {
+        names::spellings(&NAMES, self)[0]
+    }
+}
+
 impl fmt::Display for HtmKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            HtmKind::P8 => write!(f, "P8"),
-            HtmKind::P8S => write!(f, "P8S"),
-            HtmKind::L1Tm => write!(f, "L1TM"),
-            HtmKind::InfCap => write!(f, "InfCap"),
-            HtmKind::Rot => write!(f, "ROT"),
-            HtmKind::LogTm => write!(f, "LogTM"),
-            HtmKind::Lrws => write!(f, "LRWS"),
-            HtmKind::PStretch => write!(f, "PStretch"),
-        }
+        f.write_str(self.name())
+    }
+}
+
+impl std::str::FromStr for HtmKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        names::parse(&NAMES, "HTM model", s)
     }
 }
 
@@ -589,5 +614,23 @@ mod tests {
         for k in AbortKind::ALL {
             assert_eq!(s.aborts_of(k), 1);
         }
+    }
+
+    #[test]
+    fn model_names_round_trip_in_any_case() {
+        let names: Vec<String> = HtmKind::ALL.iter().map(|k| k.to_string()).collect();
+        assert_eq!(
+            names,
+            ["P8", "P8S", "L1TM", "InfCap", "ROT", "LogTM", "LRWS", "PStretch"]
+        );
+        for kind in HtmKind::ALL {
+            let name = kind.name();
+            assert_eq!(name.parse::<HtmKind>(), Ok(kind));
+            assert_eq!(name.to_lowercase().parse::<HtmKind>(), Ok(kind));
+            assert_eq!(name.to_uppercase().parse::<HtmKind>(), Ok(kind));
+        }
+        assert_eq!("pstretch".parse::<HtmKind>(), Ok(HtmKind::PStretch));
+        assert!("p9".parse::<HtmKind>().is_err());
+        assert!("".parse::<HtmKind>().is_err());
     }
 }

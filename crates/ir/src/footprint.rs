@@ -273,7 +273,7 @@ pub enum CapacityModel {
 }
 
 impl CapacityModel {
-    /// All capacity-bounded models, in display order.
+    /// All capacity-bounded models, in `hintm analyze`'s column order.
     pub const ALL: [CapacityModel; 5] = [
         CapacityModel::P8,
         CapacityModel::P8S,
@@ -281,17 +281,6 @@ impl CapacityModel {
         CapacityModel::Lrws,
         CapacityModel::PStretch,
     ];
-
-    /// Display name matching `HtmKind`'s.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CapacityModel::P8 => "P8",
-            CapacityModel::P8S => "P8S",
-            CapacityModel::L1Tm => "L1TM",
-            CapacityModel::Lrws => "LRWS",
-            CapacityModel::PStretch => "PStretch",
-        }
-    }
 
     /// The static verdict for `tx` under this model.
     pub fn verdict(&self, tx: &TxFootprint) -> Verdict {

@@ -21,7 +21,9 @@ use std::fmt;
 
 const GLOBAL_BASE: u64 = 0x0000_1000_0000;
 const HEAP_BASE: u64 = 0x0010_0000_0000;
-const HEAP_ARENA_SIZE: u64 = 0x1_0000_0000; // 4 GiB of address space per thread
+/// Address space per thread heap arena (4 GiB). A heap color stride this
+/// large could not hold even one allocation.
+pub const HEAP_ARENA_SIZE: u64 = 0x1_0000_0000;
 const STACK_BASE: u64 = 0x7f00_0000_0000;
 const STACK_SIZE: u64 = 8 * 1024 * 1024;
 
@@ -234,11 +236,11 @@ impl AddressSpace {
         // chunks keep their addresses, so committed program state is
         // placement-independent.
         let off = round_up(arena.bump, self.alloc.align);
-        arena.bump = off + cls + self.alloc.color_stride;
-        assert!(
-            arena.bump <= HEAP_ARENA_SIZE,
-            "heap arena exhausted for {tid}"
-        );
+        arena.bump = off
+            .checked_add(cls)
+            .and_then(|end| end.checked_add(self.alloc.color_stride))
+            .filter(|&end| end <= HEAP_ARENA_SIZE)
+            .unwrap_or_else(|| panic!("heap arena exhausted for {tid}"));
         Addr::new(HEAP_BASE + tid.index() as u64 * HEAP_ARENA_SIZE + off)
     }
 
@@ -465,6 +467,21 @@ mod tests {
         // Recycled chunks keep their addresses under any policy.
         colored.hfree(ThreadId(0), b0, 32);
         assert_eq!(colored.halloc(ThreadId(0), 32), b0);
+    }
+
+    #[test]
+    #[should_panic(expected = "heap arena exhausted")]
+    fn color_stride_past_the_address_space_exhausts_the_arena() {
+        // `off + size + stride` overflows u64: it must fail like any other
+        // exhausted arena instead of wrapping to a small bump pointer.
+        let mut s = AddressSpace::with_config(
+            1,
+            AllocConfig {
+                color_stride: u64::MAX,
+                align: 16,
+            },
+        );
+        s.halloc(ThreadId(0), 32);
     }
 
     #[test]

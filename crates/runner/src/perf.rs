@@ -41,8 +41,9 @@
 //! exist; [`load_baseline`] refuses any that record other than the one
 //! serial interpreter (`threads` 1, `exec` `interp`).
 
+use crate::{Cell, SweepSpec};
 use hintm::cli::PerfArgs;
-use hintm::{Experiment, HtmKind, Json, Scale};
+use hintm::{HtmKind, Json};
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -59,63 +60,35 @@ pub const DEFAULT_THRESHOLD: f64 = 0.25;
 /// Environment variable overriding the default threshold.
 pub const THRESHOLD_ENV: &str = "HINTM_PERF_THRESHOLD";
 
-/// One cell of the pinned grid.
-#[derive(Clone, Copy, Debug)]
-pub struct PerfCell {
-    /// Registered workload name.
-    pub workload: &'static str,
-    /// HTM capacity model.
-    pub htm: HtmKind,
-}
-
 /// The full pinned grid: five workloads spanning small/large footprints
 /// and five capacity models spanning cheap/expensive tracking (including
 /// the bounded read/write-set and capacity-stretching backends, whose
-/// spill paths cost differently from plain exact tracking).
-pub fn full_grid() -> Vec<PerfCell> {
-    const WORKLOADS: [&str; 5] = ["kmeans", "ssca2", "vacation", "genome", "tpcc-no"];
-    const HTMS: [HtmKind; 5] = [
-        HtmKind::P8,
-        HtmKind::P8S,
-        HtmKind::InfCap,
-        HtmKind::Lrws,
-        HtmKind::PStretch,
-    ];
-    WORKLOADS
-        .iter()
-        .flat_map(|w| {
-            HTMS.iter().map(|h| PerfCell {
-                workload: w,
-                htm: *h,
-            })
-        })
-        .collect()
+/// spill paths cost differently from plain exact tracking), at the
+/// default seed and scale.
+pub fn full_grid() -> Vec<Cell> {
+    SweepSpec::new()
+        .workloads(["kmeans", "ssca2", "vacation", "genome", "tpcc-no"])
+        .htms([
+            HtmKind::P8,
+            HtmKind::P8S,
+            HtmKind::InfCap,
+            HtmKind::Lrws,
+            HtmKind::PStretch,
+        ])
+        .cells()
 }
 
 /// The 5-cell smoke grid for CI: one workload per capacity model.
-pub fn smoke_grid() -> Vec<PerfCell> {
-    vec![
-        PerfCell {
-            workload: "kmeans",
-            htm: HtmKind::P8,
-        },
-        PerfCell {
-            workload: "ssca2",
-            htm: HtmKind::InfCap,
-        },
-        PerfCell {
-            workload: "vacation",
-            htm: HtmKind::P8S,
-        },
-        PerfCell {
-            workload: "genome",
-            htm: HtmKind::Lrws,
-        },
-        PerfCell {
-            workload: "tpcc-no",
-            htm: HtmKind::PStretch,
-        },
+pub fn smoke_grid() -> Vec<Cell> {
+    [
+        ("kmeans", HtmKind::P8),
+        ("ssca2", HtmKind::InfCap),
+        ("vacation", HtmKind::P8S),
+        ("genome", HtmKind::Lrws),
+        ("tpcc-no", HtmKind::PStretch),
     ]
+    .map(|(workload, htm)| Cell::new(workload).htm(htm))
+    .to_vec()
 }
 
 /// One cell's measurement.
@@ -189,32 +162,22 @@ pub fn noise_rejected_median(runs_ns: &[u64]) -> u64 {
 /// # Errors
 ///
 /// Returns an error for unknown workloads (a grid typo).
-pub fn measure_cell(
-    cell: &PerfCell,
-    warmup: usize,
-    repeat: usize,
-) -> Result<CellMeasurement, String> {
-    let exp = || {
-        Experiment::new(cell.workload)
-            .htm(cell.htm)
-            .seed(42)
-            .scale(Scale::Sim)
-    };
+pub fn measure_cell(cell: &Cell, warmup: usize, repeat: usize) -> Result<CellMeasurement, String> {
     let mut events = 0u64;
     for _ in 0..warmup {
-        let r = exp().run().map_err(|e| e.to_string())?;
+        let r = cell.run().map_err(|e| e.to_string())?;
         events = r.stats.cache.accesses;
     }
     let mut runs_ns = Vec::with_capacity(repeat);
     for _ in 0..repeat {
         let t0 = Instant::now();
-        let r = exp().run().map_err(|e| e.to_string())?;
+        let r = cell.run().map_err(|e| e.to_string())?;
         runs_ns.push(t0.elapsed().as_nanos() as u64);
         events = r.stats.cache.accesses;
     }
     let wall_ns = noise_rejected_median(&runs_ns).max(1);
     Ok(CellMeasurement {
-        workload: cell.workload.to_string(),
+        workload: cell.workload.clone(),
         htm: cell.htm.to_string(),
         events,
         wall_ns,
@@ -431,10 +394,10 @@ pub fn resolve_threshold(pa: &PerfArgs) -> f64 {
 
 /// Why `base` is not comparable with a run over `grid`: `None` when it
 /// timed exactly the same set of (workload, model) cells.
-fn cell_set_mismatch(base: &Baseline, grid: &[PerfCell]) -> Option<String> {
+fn cell_set_mismatch(base: &Baseline, grid: &[Cell]) -> Option<String> {
     let mut ours: Vec<(String, String)> = grid
         .iter()
-        .map(|c| (c.workload.to_string(), c.htm.to_string()))
+        .map(|c| (c.workload.clone(), c.htm.to_string()))
         .collect();
     let mut theirs: Vec<(String, String)> = base
         .cells
@@ -469,7 +432,7 @@ fn cell_set_mismatch(base: &Baseline, grid: &[PerfCell]) -> Option<String> {
 /// explicit baseline timed a different cell set.
 fn select_baseline(
     pa: &PerfArgs,
-    grid: &[PerfCell],
+    grid: &[Cell],
     out_dir: &Path,
     exclude: &Path,
 ) -> Result<Option<Baseline>, String> {
@@ -717,7 +680,7 @@ mod tests {
         let old: Vec<CellMeasurement> = grid
             .iter()
             .filter(|c| matches!(c.htm, HtmKind::P8 | HtmKind::P8S | HtmKind::InfCap))
-            .map(|c| cell(c.workload, &c.htm.to_string(), 1e6))
+            .map(|c| cell(&c.workload, &c.htm.to_string(), 1e6))
             .collect();
         assert_eq!(old.len(), 15);
         let dir = scratch("hintm-perf-cellset");
@@ -747,7 +710,7 @@ mod tests {
         // label and cell order.
         let mut same: Vec<CellMeasurement> = grid
             .iter()
-            .map(|c| cell(c.workload, &c.htm.to_string(), 1e6))
+            .map(|c| cell(&c.workload, &c.htm.to_string(), 1e6))
             .collect();
         same.reverse();
         fs::write(
@@ -801,15 +764,7 @@ mod tests {
 
     #[test]
     fn smoke_measurement_produces_sane_numbers() {
-        let m = measure_cell(
-            &PerfCell {
-                workload: "kmeans",
-                htm: HtmKind::P8,
-            },
-            0,
-            1,
-        )
-        .unwrap();
+        let m = measure_cell(&Cell::new("kmeans"), 0, 1).unwrap();
         assert!(m.events > 0);
         assert!(m.wall_ns > 0);
         assert!(m.events_per_sec > 0.0);

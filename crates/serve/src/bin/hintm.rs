@@ -2,10 +2,10 @@
 //! shell. Lives in the serve crate — the top of the runner stack — so
 //! `hintm sweep` / `hintm cache` can reach the orchestration layer and
 //! `hintm serve` the daemon; everything else is delegated to
-//! [`hintm::cli::execute`]. See `hintm help` or [`hintm::cli::USAGE`].
+//! [`hintm::cli::execute`]. See `hintm help` or [`hintm::cli::usage`].
 
-use hintm::cli::{self, Command, ServeArgs, SweepArgs};
-use hintm_runner::{Cache, Runner, SweepSpec};
+use hintm::cli::{self, AnalyzeArgs, AuditArgs, Command, ServeArgs, SweepArgs};
+use hintm_runner::{Cache, Cell, Runner};
 use hintm_serve::{join_loop, ServeConfig, Server};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -25,29 +25,8 @@ fn build_runner(sa: &SweepArgs) -> Runner {
     runner
 }
 
-/// The `hintm sweep --smoke` workload subset: one small workload per
-/// footprint regime (fits / read-heavy / write-present), fast enough for
-/// a CI smoke job.
-const SMOKE_WORKLOADS: [&str; 3] = ["kmeans", "ssca2", "tpcc-p"];
-
 fn run_sweep(sa: &SweepArgs) -> Result<(), String> {
-    let mut spec = SweepSpec::new()
-        .htms(sa.htms.iter().copied())
-        .hints(sa.hints.iter().copied())
-        .seeds(sa.seeds.iter().copied())
-        .alloc_colors(sa.alloc_colors.iter().copied())
-        .scale(sa.scale)
-        .smt2(sa.smt2)
-        .preserve(sa.preserve);
-    spec = if sa.workloads.is_empty() && sa.smoke {
-        spec.workloads(SMOKE_WORKLOADS)
-    } else {
-        spec.workloads(sa.workloads.iter().map(String::as_str))
-    };
-    if let Some(t) = sa.threads {
-        spec = spec.threads(t);
-    }
-    let cells = spec.cells();
+    let cells = sa.spec.cells();
     let runner = build_runner(sa);
     let result = if sa.trace {
         let trace_dir = sa.out.as_ref().map(|o| PathBuf::from(o).join("traces"));
@@ -87,65 +66,37 @@ fn run_sweep(sa: &SweepArgs) -> Result<(), String> {
         return Err(format!("{} cell(s) crashed", result.crashed));
     }
     if sa.audit {
-        audit_sweep(sa, &cells)?;
+        check_sweep(&cells, false)?;
     }
     if sa.analyze {
-        analyze_sweep(sa, &cells)?;
+        check_sweep(&cells, true)?;
     }
     Ok(())
 }
 
-/// Audits every distinct workload a sweep touched: runs the IR verifier,
-/// the lint set, and the dynamic sharing oracle once per workload at the
-/// sweep's scale and first seed.
-fn audit_sweep(sa: &SweepArgs, cells: &[hintm_runner::Cell]) -> Result<(), String> {
-    let mut names: Vec<&str> = cells.iter().map(|c| c.workload.as_str()).collect();
-    names.sort_unstable();
-    names.dedup();
-    let seed = sa.seeds.first().copied().unwrap_or(42);
-    eprintln!("{}", cli::audit_header());
-    let mut failed = 0usize;
-    for name in names {
-        match hintm_audit::audit_workload(name, sa.scale, seed) {
-            Some(r) => {
-                eprintln!("{}", cli::audit_row(&r));
-                if !r.passed() {
-                    failed += 1;
-                }
-            }
-            None => return Err(format!("audit: unknown workload `{name}`")),
-        }
-    }
-    if failed > 0 {
-        return Err(format!("{failed} workload(s) failed the audit"));
-    }
-    Ok(())
-}
-
-/// Statically analyzes every distinct workload a sweep touched: footprint
-/// bounds, per-model capacity verdicts, and the hint-inference diff, at
-/// the sweep's scale. No extra simulator runs.
-fn analyze_sweep(sa: &SweepArgs, cells: &[hintm_runner::Cell]) -> Result<(), String> {
-    let mut names: Vec<&str> = cells.iter().map(|c| c.workload.as_str()).collect();
-    names.sort_unstable();
-    names.dedup();
-    eprintln!("{}", cli::analyze_header());
-    let mut failed = 0usize;
-    for name in names {
-        match hintm_audit::analyze_workload(name, sa.scale) {
-            Some(r) => {
-                eprintln!("{}", cli::analyze_row(&r));
-                if !r.passed() {
-                    failed += 1;
-                }
-            }
-            None => return Err(format!("analyze: unknown workload `{name}`")),
-        }
-    }
-    if failed > 0 {
-        return Err(format!("{failed} workload(s) failed the static analysis"));
-    }
-    Ok(())
+/// Audits (`hintm audit`) or statically analyzes (`hintm analyze`) every
+/// distinct workload a sweep touched, at the scale and seed of its first
+/// cell, printing the report to stderr.
+fn check_sweep(cells: &[Cell], analyze: bool) -> Result<(), String> {
+    let mut workloads: Vec<String> = cells.iter().map(|c| c.workload.clone()).collect();
+    workloads.sort_unstable();
+    workloads.dedup();
+    let (scale, seed) = (cells[0].scale, cells[0].seed);
+    let cmd = if analyze {
+        Command::Analyze(AnalyzeArgs {
+            workloads,
+            scale,
+            json: false,
+        })
+    } else {
+        Command::Audit(AuditArgs {
+            workloads,
+            seed,
+            scale,
+            json: false,
+        })
+    };
+    cli::execute(&cmd, &mut std::io::stderr()).map_err(|e| e.to_string())
 }
 
 fn cache_at(dir: Option<&str>) -> Cache {
@@ -238,7 +189,7 @@ fn main() -> ExitCode {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("{}", cli::USAGE);
+            eprintln!("{}", cli::usage());
             return ExitCode::FAILURE;
         }
     };

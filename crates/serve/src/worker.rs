@@ -8,11 +8,11 @@
 //! reports into its own cache, so the cross-job deduplication guarantees
 //! hold no matter which side executed a cell.
 
-use hintm_runner::{CellOutcome, Runner};
+use hintm_runner::{cell_from_json, CellOutcome, Runner};
 use std::io;
 use std::time::Duration;
 
-use crate::api::{cell_from_json, result_to_json};
+use crate::api::result_to_json;
 use crate::http::client_request;
 use crate::queue::Claim;
 

@@ -304,6 +304,11 @@ fn error_paths_over_the_wire() {
             r#"{"workloads":["ssca2"],"exec":"interp"}"#,
             400,
         ),
+        // Thread counts and color strides no cell could run with.
+        ("POST", "/sweeps", r#"{"threads":0}"#, 400),
+        ("POST", "/sweeps", r#"{"threads":9}"#, 400),
+        ("POST", "/sweeps", r#"{"threads":17,"smt2":true}"#, 400),
+        ("POST", "/sweeps", r#"{"alloc_colors":[4294967296]}"#, 400),
         ("GET", "/sweeps/7", "", 404),
         ("GET", "/sweeps/7/report", "", 404),
         ("GET", "/nope", "", 404),

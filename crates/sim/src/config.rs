@@ -1,6 +1,7 @@
 //! Simulation configuration.
 
 use hintm_htm::{HtmConfig, HtmKind};
+use hintm_types::names::{self, NameTable};
 use hintm_types::{Cycles, MachineConfig};
 use std::fmt;
 
@@ -30,14 +31,43 @@ impl HintMode {
     }
 }
 
+/// The name table: every mode with its spellings. The first is the
+/// display name reports, cell keys and manifests carry; the second is the
+/// command-line name; the rest are aliases. Parsing accepts any of them,
+/// ignoring case.
+const NAMES: NameTable<HintMode, 4> = [
+    (HintMode::Off, &["baseline", "off"]),
+    (HintMode::Static, &["HinTM-st", "static", "st"]),
+    (HintMode::Dynamic, &["HinTM-dyn", "dynamic", "dyn"]),
+    (HintMode::Full, &["HinTM", "full"]),
+];
+
+impl HintMode {
+    /// Every mode, in name-table order.
+    pub const ALL: [HintMode; 4] = names::values(&NAMES);
+
+    /// The display name (`baseline`, `HinTM-st`, ...).
+    pub fn name(self) -> &'static str {
+        names::spellings(&NAMES, self)[0]
+    }
+
+    /// The command-line name (`off`, `static`, ...).
+    pub fn cli_name(self) -> &'static str {
+        names::spellings(&NAMES, self)[1]
+    }
+}
+
 impl fmt::Display for HintMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            HintMode::Off => write!(f, "baseline"),
-            HintMode::Static => write!(f, "HinTM-st"),
-            HintMode::Dynamic => write!(f, "HinTM-dyn"),
-            HintMode::Full => write!(f, "HinTM"),
-        }
+        f.write_str(self.name())
+    }
+}
+
+impl std::str::FromStr for HintMode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        names::parse(&NAMES, "hint mode", s)
     }
 }
 
@@ -143,5 +173,20 @@ mod tests {
         assert_eq!(c.htm.kind, HtmKind::L1Tm);
         assert_eq!(c.hint_mode, HintMode::Full);
         assert_eq!(c.machine.hw_threads(), 16);
+    }
+
+    #[test]
+    fn hint_mode_names_round_trip_in_any_case() {
+        let shown: Vec<String> = HintMode::ALL.iter().map(|m| m.to_string()).collect();
+        assert_eq!(shown, ["baseline", "HinTM-st", "HinTM-dyn", "HinTM"]);
+        for mode in HintMode::ALL {
+            for name in [mode.name(), mode.cli_name()] {
+                assert_eq!(name.parse::<HintMode>(), Ok(mode));
+                assert_eq!(name.to_uppercase().parse::<HintMode>(), Ok(mode));
+            }
+        }
+        assert_eq!("st".parse::<HintMode>(), Ok(HintMode::Static));
+        assert_eq!("DYN".parse::<HintMode>(), Ok(HintMode::Dynamic));
+        assert!("on".parse::<HintMode>().is_err());
     }
 }

@@ -50,6 +50,7 @@ pub mod stats;
 
 pub use config::{HintMode, SimConfig};
 pub use engine::Simulator;
+pub use hintm_htm::HtmKind;
 pub use hintm_trace::{Recording, TraceEvent, TraceSink};
 pub use section::{
     wrap_safe_in_escapes, DigestingWorkload, EscapeEncoded, Section, TxBody, TxOp, Workload,

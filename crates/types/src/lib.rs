@@ -23,6 +23,7 @@ pub mod access;
 pub mod addr;
 pub mod config;
 pub mod ids;
+pub mod names;
 pub mod rng;
 pub mod stats_util;
 

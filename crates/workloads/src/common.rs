@@ -2,8 +2,10 @@
 
 use hintm_mem::AccessSink;
 use hintm_sim::{TxBody, TxOp};
+use hintm_types::names::{self, NameTable};
 use hintm_types::rng::SmallRng;
 use hintm_types::{Addr, MemAccess, SiteId};
+use std::fmt;
 
 /// Input scale preset.
 ///
@@ -19,13 +21,39 @@ pub enum Scale {
     Large,
 }
 
+/// The name table: every scale with its name, which the command line,
+/// cell keys and manifests all use. Parsing ignores case.
+const NAMES: NameTable<Scale, 2> = [(Scale::Sim, &["sim"]), (Scale::Large, &["large"])];
+
 impl Scale {
+    /// Every scale, in name-table order.
+    pub const ALL: [Scale; 2] = names::values(&NAMES);
+
+    /// The scale's name (`sim` | `large`).
+    pub fn name(self) -> &'static str {
+        names::spellings(&NAMES, self)[0]
+    }
+
     /// Multiplies a base count by the scale factor (×1 or ×3).
     pub fn scaled(self, base: usize) -> usize {
         match self {
             Scale::Sim => base,
             Scale::Large => base * 3,
         }
+    }
+}
+
+impl fmt::Display for Scale {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        names::parse(&NAMES, "scale", s)
     }
 }
 
@@ -134,5 +162,15 @@ mod tests {
     fn scale_multiplier() {
         assert_eq!(Scale::Sim.scaled(10), 10);
         assert_eq!(Scale::Large.scaled(10), 30);
+    }
+
+    #[test]
+    fn scale_names_round_trip_in_any_case() {
+        for scale in Scale::ALL {
+            assert_eq!(scale.to_string().parse::<Scale>(), Ok(scale));
+            assert_eq!(scale.name().to_uppercase().parse::<Scale>(), Ok(scale));
+        }
+        assert_eq!(Scale::Large.to_string(), "large");
+        assert!("huge".parse::<Scale>().is_err());
     }
 }

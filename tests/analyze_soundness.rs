@@ -23,22 +23,11 @@
 //! [`transaction_block_counts_fit_the_static_envelope`]).
 
 use hintm::{AbortKind, AllocConfig, Experiment, HtmKind};
-use hintm_audit::{analyze_workload, AnalyzeReport, Scale};
+use hintm_audit::{analyze_workload, htm_kind, AnalyzeReport, Scale};
 use hintm_ir::{Bound, CapacityModel, Verdict};
 use hintm_sim::Section;
 use hintm_types::ThreadId;
 use hintm_workloads::{by_name, WORKLOAD_NAMES};
-
-/// The HTM configuration each static capacity model describes.
-fn htm_for(model: CapacityModel) -> HtmKind {
-    match model {
-        CapacityModel::P8 => HtmKind::P8,
-        CapacityModel::P8S => HtmKind::P8S,
-        CapacityModel::L1Tm => HtmKind::L1Tm,
-        CapacityModel::Lrws => HtmKind::Lrws,
-        CapacityModel::PStretch => HtmKind::PStretch,
-    }
-}
 
 /// Module-worst upper bound across transactions: `Unbounded` dominates
 /// every dynamic observation.
@@ -69,20 +58,20 @@ fn static_bounds_dominate_dynamic_footprints() {
         let write_hi = worst_hi(&report, |tx| tx.write_hi);
         for model in CapacityModel::ALL {
             let (run, _) = Experiment::new(name)
-                .htm(htm_for(model))
+                .htm(htm_kind(model))
                 .run_traced(1)
                 .expect("known workload");
             let trace = run.trace.expect("traced run records metrics");
             assert!(
                 dominates(read_hi, trace.read_set.max),
                 "{name} on {}: static read bound {read_hi} < dynamic max read-set {}",
-                model.name(),
+                htm_kind(model),
                 trace.read_set.max,
             );
             assert!(
                 dominates(write_hi, trace.write_set.max),
                 "{name} on {}: static write bound {write_hi} < dynamic max write-set {}",
-                model.name(),
+                htm_kind(model),
                 trace.write_set.max,
             );
         }
@@ -161,14 +150,14 @@ fn fits_verdicts_mean_no_capacity_aborts() {
             }
             fits_cases += 1;
             let (run, _) = Experiment::new(name)
-                .htm(htm_for(model))
+                .htm(htm_kind(model))
                 .run_traced(1)
                 .expect("known workload");
             assert_eq!(
                 run.stats.aborts_of(AbortKind::Capacity),
                 0,
                 "{name} statically fits {} but dynamically overflowed",
-                model.name(),
+                htm_kind(model),
             );
         }
     }
@@ -192,13 +181,13 @@ fn must_overflow_verdicts_mean_capacity_aborts_happen() {
     ] {
         assert_eq!(report.worst(model), Verdict::MustOverflow);
         let (run, _) = Experiment::new("labyrinth")
-            .htm(htm_for(model))
+            .htm(htm_kind(model))
             .run_traced(1)
             .expect("known workload");
         assert!(
             run.stats.aborts_of(AbortKind::Capacity) > 0,
             "labyrinth must-overflows {} statically but aborted zero times",
-            model.name(),
+            htm_kind(model),
         );
     }
 }

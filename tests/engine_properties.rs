@@ -144,12 +144,7 @@ fn engine_is_deterministic() {
     let mut rng = SmallRng::seed_from_u64(0xDE7);
     for round in 0..48 {
         let script = rand_script(&mut rng);
-        let mode = [
-            HintMode::Off,
-            HintMode::Static,
-            HintMode::Dynamic,
-            HintMode::Full,
-        ][round % 4];
+        let mode = HintMode::ALL[round % HintMode::ALL.len()];
         let mut w1 = Scripted::new(script.clone());
         let mut w2 = Scripted::new(script);
         let a = Simulator::new(SimConfig::default().hint_mode(mode)).run(&mut w1, 9);

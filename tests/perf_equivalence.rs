@@ -26,17 +26,9 @@ use std::path::PathBuf;
 /// Seed every equivalence run is pinned to.
 const SEED: u64 = 42;
 
-/// The eight HTM models, in blessed-table column order.
-const MODELS: [HtmKind; 8] = [
-    HtmKind::P8,
-    HtmKind::P8S,
-    HtmKind::L1Tm,
-    HtmKind::InfCap,
-    HtmKind::Rot,
-    HtmKind::LogTm,
-    HtmKind::Lrws,
-    HtmKind::PStretch,
-];
+/// The eight HTM models: [`HtmKind::ALL`], whose order is the blessed
+/// table's column order.
+const MODELS: [HtmKind; 8] = HtmKind::ALL;
 
 // `BLESSED`: per workload, `(trace_digest, stats_fingerprint)` per model in
 // `MODELS` order. Generated by the bless mode above; committed alongside

@@ -26,6 +26,7 @@
 //! rather than a 40-statement haystack.
 
 use hintm::HtmKind;
+use hintm_audit::htm_kind;
 use hintm_ir::{
     footprint, points_to, print_module, Bound, CapacityModel, Module, ModuleBuilder, Verdict,
 };
@@ -36,16 +37,6 @@ use hintm_workloads::IrExec;
 use std::fmt::Write as _;
 
 const CASES: usize = 256;
-const MODELS: [HtmKind; 8] = [
-    HtmKind::P8,
-    HtmKind::P8S,
-    HtmKind::L1Tm,
-    HtmKind::InfCap,
-    HtmKind::Rot,
-    HtmKind::LogTm,
-    HtmKind::Lrws,
-    HtmKind::PStretch,
-];
 
 /// A worker whose single transaction is generated from `rng`: sized and
 /// unsized allocations, loads, stores, memcpys, geps, pointer round trips,
@@ -126,17 +117,6 @@ fn rand_module(rng: &mut SmallRng) -> Module {
     m.finish(entry, worker)
 }
 
-/// The HTM configuration each static capacity model describes.
-fn htm_for(model: CapacityModel) -> HtmKind {
-    match model {
-        CapacityModel::P8 => HtmKind::P8,
-        CapacityModel::P8S => HtmKind::P8S,
-        CapacityModel::L1Tm => HtmKind::L1Tm,
-        CapacityModel::Lrws => HtmKind::Lrws,
-        CapacityModel::PStretch => HtmKind::PStretch,
-    }
-}
-
 /// Runs `module` as a workload on `htm`; thread and round counts rotate
 /// with `case`.
 fn run(module: &Module, case: usize, htm: HtmKind, rec: &mut Recording) -> RunStats {
@@ -168,7 +148,7 @@ fn check(module: &Module, case: usize) -> Result<Outcome, String> {
     let fp = footprint(module, &points_to(module));
     let read_hi = worst_hi(fp.txs.iter().map(|tx| tx.read_hi));
     let write_hi = worst_hi(fp.txs.iter().map(|tx| tx.write_hi));
-    let htm = MODELS[case % MODELS.len()];
+    let htm = HtmKind::ALL[case % HtmKind::ALL.len()];
     let mut rec = Recording::new(1);
     run(module, case, htm, &mut rec);
     let (read_max, write_max) = (rec.metrics().read_set.max(), rec.metrics().write_set.max());
@@ -186,12 +166,12 @@ fn check(module: &Module, case: usize) -> Result<Outcome, String> {
         if fp.worst(model) != Verdict::Fits {
             continue;
         }
-        let stats = run(module, case, htm_for(model), &mut Recording::new(1));
+        let stats = run(module, case, htm_kind(model), &mut Recording::new(1));
         let aborts = stats.aborts_of(AbortKind::Capacity);
         if aborts != 0 {
             return Err(format!(
                 "statically fits {} but capacity-aborted {aborts} times",
-                model.name()
+                htm_kind(model)
             ));
         }
         fits += 1;
@@ -215,7 +195,7 @@ fn abort_histograms(module: &Module, case: usize) -> String {
         "model", "conflict", "capacity", "false-conflict", "page-mode", "fallback-lock"
     )
     .unwrap();
-    for &m in &MODELS {
+    for m in HtmKind::ALL {
         let stats = run(module, case, m, &mut Recording::new(1));
         writeln!(
             out,
